@@ -131,7 +131,8 @@ class DecisionAudit {
 
   /// One JSON object per line; hire records carry "type":"hire", plan
   /// records "type":"plan", admission records "type":"admission". NaN
-  /// cost fields are emitted as null.
+  /// cost fields and infinite budgets are emitted as null. False if the
+  /// file could not be opened, written or closed.
   bool ExportJsonl(const std::string& path) const;
 
  private:

@@ -108,6 +108,8 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
+class ExportWriter;
+
 /// Process-wide registry. Names follow Prometheus conventions
 /// ([a-zA-Z_][a-zA-Z0-9_]*); re-registering a name with a different type
 /// throws std::logic_error, with the same type returns the existing
@@ -142,11 +144,13 @@ class MetricsRegistry {
                             SloSpec spec, QuantileSketch& sketch);
 
   /// Prometheus text exposition format (HELP/TYPE comments, cumulative
-  /// `le` buckets, `_sum`, `_count`, `+Inf`).
+  /// `le` buckets, `_sum`, `_count`, `+Inf`), streamed into `out`.
+  void WritePrometheusText(ExportWriter& out) const;
   [[nodiscard]] std::string PrometheusText() const;
 
   /// One JSON object: {"name": value, ...}; histograms expand into
   /// {"buckets": [{"le", "count"}...], "sum", "count"}.
+  void WriteJsonSnapshot(ExportWriter& out) const;
   [[nodiscard]] std::string JsonSnapshot() const;
 
   /// Zeroes every instrument (registrations stay).

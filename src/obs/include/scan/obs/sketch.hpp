@@ -128,11 +128,19 @@ class Slo {
   std::atomic<std::uint64_t> breached_{0};
 };
 
-/// Prometheus exposition helpers (used by MetricsRegistry; exposed for
-/// the golden tests). The sketch renders as a `summary` with
-/// quantile="0.5|0.95|0.99" series plus _sum/_count; the SLO renders
-/// good/breach counters and objective / observed-quantile / budget-burn
-/// gauges under its name prefix.
+class ExportWriter;
+
+/// Prometheus exposition blocks, streamed by MetricsRegistry. The sketch
+/// renders as a `summary` with quantile="0.5|0.95|0.99" series plus
+/// _sum/_count; the SLO renders good/breach counters and objective /
+/// observed-quantile / budget-burn gauges under its name prefix.
+void WriteSketchPrometheus(ExportWriter& out, const std::string& name,
+                           const std::string& help,
+                           const QuantileSketch& sketch);
+void WriteSloPrometheus(ExportWriter& out, const std::string& name,
+                        const std::string& help, const Slo& slo);
+
+/// The same blocks as strings (for the golden tests).
 [[nodiscard]] std::string SketchPrometheusBlock(const std::string& name,
                                                 const std::string& help,
                                                 const QuantileSketch& sketch);

@@ -183,12 +183,13 @@ class TraceRecorder {
   /// Writes the merged stream as Chrome trace-event JSON ("traceEvents"
   /// array; 1 TU = 1000 trace microseconds). Loadable in Perfetto /
   /// chrome://tracing. Parent->child span edges additionally emit flow
-  /// event pairs (ph "s"/"f") so Perfetto draws causal arrows. False on
-  /// I/O failure.
+  /// event pairs (ph "s"/"f") so Perfetto draws causal arrows. False if
+  /// the file could not be opened, written or closed.
   bool ExportChromeJson(const std::string& path) const;
 
   /// Writes one JSON object per line ({"t","dur","kind","track","a","b",
   /// "v","span","parent"}), times in TU with full round-trip precision.
+  /// False if the file could not be opened, written or closed.
   bool ExportJsonl(const std::string& path) const;
 
  private:

@@ -1,10 +1,9 @@
 #include "scan/obs/audit.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <mutex>
 
-#include "scan/common/str.hpp"
+#include "scan/obs/export_writer.hpp"
 
 namespace scan::obs {
 
@@ -99,65 +98,65 @@ std::vector<AdmissionRecord> DecisionAudit::admissions() const {
 
 namespace {
 
-/// JSON has no NaN; unpriced fields become null.
-std::string JsonNumberOrNull(double value) {
-  if (std::isnan(value)) return "null";
-  return StrFormat("%.17g", value);
+/// A JSON number, or null where JSON has none.
+struct NumberOrNull {
+  double value;
+  bool is_null;
+};
+
+/// Unpriced cost fields are NaN.
+NumberOrNull NullIfNaN(double value) { return {value, std::isnan(value)}; }
+/// A tenant without a budget quota has +inf left.
+NumberOrNull NullIfInf(double value) { return {value, std::isinf(value)}; }
+
+ExportWriter& operator<<(ExportWriter& out, NumberOrNull x) {
+  if (x.is_null) return out << "null";
+  return out << Exact{x.value};
 }
 
 }  // namespace
 
 bool DecisionAudit::ExportJsonl(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
+  ExportWriter out(path);
   Impl& im = impl();
   const std::scoped_lock lock(im.mutex);
   for (const HireDecisionRecord& r : im.hires) {
-    out << "{\"type\":\"hire\",\"t\":" << StrFormat("%.17g", r.time_tu)
+    out << "{\"type\":\"hire\",\"t\":" << Exact{r.time_tu}
         << ",\"job\":" << r.job_id << ",\"stage\":" << r.stage
         << ",\"threads\":" << r.threads << ",\"choice\":\""
         << HireChoiceName(r.choice) << "\",\"scaling\":\"" << r.scaling
         << "\",\"queue_length\":" << r.queue_length
-        << ",\"head_size_du\":" << StrFormat("%.17g", r.head_size_du)
-        << ",\"delay_cost\":" << JsonNumberOrNull(r.delay_cost)
-        << ",\"hire_cost\":" << JsonNumberOrNull(r.hire_cost)
-        << ",\"next_free_delay_tu\":"
-        << JsonNumberOrNull(r.next_free_delay_tu)
-        << ",\"boot_penalty_tu\":" << StrFormat("%.17g", r.boot_penalty_tu)
-        << ",\"public_core_price\":"
-        << StrFormat("%.17g", r.public_core_price)
-        << ",\"rework_factor\":" << StrFormat("%.17g", r.rework_factor)
-        << "}\n";
+        << ",\"head_size_du\":" << Exact{r.head_size_du}
+        << ",\"delay_cost\":" << NullIfNaN(r.delay_cost)
+        << ",\"hire_cost\":" << NullIfNaN(r.hire_cost)
+        << ",\"next_free_delay_tu\":" << NullIfNaN(r.next_free_delay_tu)
+        << ",\"boot_penalty_tu\":" << Exact{r.boot_penalty_tu}
+        << ",\"public_core_price\":" << Exact{r.public_core_price}
+        << ",\"rework_factor\":" << Exact{r.rework_factor} << "}\n";
   }
   for (const PlanDecisionRecord& r : im.plans) {
-    out << "{\"type\":\"plan\",\"t\":" << StrFormat("%.17g", r.time_tu)
-        << ",\"job\":" << r.job_id
-        << ",\"size_du\":" << StrFormat("%.17g", r.size_du)
+    out << "{\"type\":\"plan\",\"t\":" << Exact{r.time_tu}
+        << ",\"job\":" << r.job_id << ",\"size_du\":" << Exact{r.size_du}
         << ",\"allocation\":\"" << r.allocation << "\",\"plan\":[";
     for (std::size_t i = 0; i < r.plan.size(); ++i) {
       if (i > 0) out << ',';
       out << r.plan[i];
     }
-    out << "],\"price_hint\":" << StrFormat("%.17g", r.price_hint)
-        << ",\"predicted_exec_tu\":"
-        << StrFormat("%.17g", r.predicted_exec_tu)
-        << ",\"predicted_reward\":"
-        << StrFormat("%.17g", r.predicted_reward) << "}\n";
+    out << "],\"price_hint\":" << Exact{r.price_hint}
+        << ",\"predicted_exec_tu\":" << Exact{r.predicted_exec_tu}
+        << ",\"predicted_reward\":" << Exact{r.predicted_reward} << "}\n";
   }
   for (const AdmissionRecord& r : im.admissions) {
-    out << "{\"type\":\"admission\",\"t\":" << StrFormat("%.17g", r.time_tu)
+    out << "{\"type\":\"admission\",\"t\":" << Exact{r.time_tu}
         << ",\"tenant\":" << r.tenant_id << ",\"job\":" << r.job_id
         << ",\"outcome\":\"" << AdmissionOutcomeName(r.outcome)
         << "\",\"queue_depth\":" << r.queue_depth
         << ",\"in_flight\":" << r.in_flight
-        << ",\"size_du\":" << StrFormat("%.17g", r.size_du)
-        << ",\"budget_remaining_tu\":"
-        << (std::isinf(r.budget_remaining_tu)
-                ? std::string("null")
-                : StrFormat("%.17g", r.budget_remaining_tu))
+        << ",\"size_du\":" << Exact{r.size_du}
+        << ",\"budget_remaining_tu\":" << NullIfInf(r.budget_remaining_tu)
         << "}\n";
   }
-  return out.good();
+  return out.Close();
 }
 
 }  // namespace scan::obs

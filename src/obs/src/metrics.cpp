@@ -4,10 +4,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
-#include "scan/common/str.hpp"
+#include "scan/obs/export_writer.hpp"
 
 namespace scan::obs {
 
@@ -176,18 +175,17 @@ Slo& MetricsRegistry::GetSlo(const std::string& name, const std::string& help,
   return *entry.slo;
 }
 
-std::string MetricsRegistry::PrometheusText() const {
+void MetricsRegistry::WritePrometheusText(ExportWriter& out) const {
   const std::scoped_lock lock(impl_->mutex);
-  std::ostringstream out;
   for (const auto& [name, entry] : impl_->entries) {
     // Sketches and SLOs render whole blocks (their own TYPE lines: a
     // summary, resp. a family of counters/gauges under the name prefix).
     if (entry.type == MetricType::kSketch) {
-      out << SketchPrometheusBlock(name, entry.help, *entry.sketch);
+      WriteSketchPrometheus(out, name, entry.help, *entry.sketch);
       continue;
     }
     if (entry.type == MetricType::kSlo) {
-      out << SloPrometheusBlock(name, entry.help, *entry.slo);
+      WriteSloPrometheus(out, name, entry.help, *entry.slo);
       continue;
     }
     if (!entry.help.empty()) {
@@ -199,21 +197,19 @@ std::string MetricsRegistry::PrometheusText() const {
         out << name << ' ' << entry.counter->value() << '\n';
         break;
       case MetricType::kGauge:
-        out << name << ' ' << StrFormat("%.17g", entry.gauge->value())
-            << '\n';
+        out << name << ' ' << Exact{entry.gauge->value()} << '\n';
         break;
       case MetricType::kHistogram: {
         const Histogram& h = *entry.histogram;
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
           cumulative += h.bucket_count(i);
-          out << name << "_bucket{le=\""
-              << StrFormat("%g", h.upper_bounds()[i]) << "\"} " << cumulative
-              << '\n';
+          out << name << "_bucket{le=\"" << Label{h.upper_bounds()[i]}
+              << "\"} " << cumulative << '\n';
         }
         cumulative += h.bucket_count(h.upper_bounds().size());
         out << name << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
-        out << name << "_sum " << StrFormat("%.17g", h.sum()) << '\n';
+        out << name << "_sum " << Exact{h.sum()} << '\n';
         out << name << "_count " << h.count() << '\n';
         break;
       }
@@ -222,12 +218,15 @@ std::string MetricsRegistry::PrometheusText() const {
         break;  // handled above
     }
   }
-  return out.str();
 }
 
-std::string MetricsRegistry::JsonSnapshot() const {
+std::string MetricsRegistry::PrometheusText() const {
+  return WriteToString(
+      [this](ExportWriter& out) { WritePrometheusText(out); });
+}
+
+void MetricsRegistry::WriteJsonSnapshot(ExportWriter& out) const {
   const std::scoped_lock lock(impl_->mutex);
-  std::ostringstream out;
   out << "{\n";
   bool first = true;
   for (const auto& [name, entry] : impl_->entries) {
@@ -239,14 +238,14 @@ std::string MetricsRegistry::JsonSnapshot() const {
         out << entry.counter->value();
         break;
       case MetricType::kGauge:
-        out << StrFormat("%.17g", entry.gauge->value());
+        out << Exact{entry.gauge->value()};
         break;
       case MetricType::kHistogram: {
         const Histogram& h = *entry.histogram;
-        out << "{\"sum\": " << StrFormat("%.17g", h.sum())
-            << ", \"count\": " << h.count() << ", \"buckets\": [";
+        out << "{\"sum\": " << Exact{h.sum()} << ", \"count\": " << h.count()
+            << ", \"buckets\": [";
         for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
-          out << "{\"le\": " << StrFormat("%g", h.upper_bounds()[i])
+          out << "{\"le\": " << Label{h.upper_bounds()[i]}
               << ", \"count\": " << h.bucket_count(i) << "}, ";
         }
         out << "{\"le\": \"+Inf\", \"count\": "
@@ -255,27 +254,29 @@ std::string MetricsRegistry::JsonSnapshot() const {
       }
       case MetricType::kSketch: {
         const QuantileSketch& s = *entry.sketch;
-        out << "{\"p50\": " << StrFormat("%.17g", s.Quantile(0.5))
-            << ", \"p95\": " << StrFormat("%.17g", s.Quantile(0.95))
-            << ", \"p99\": " << StrFormat("%.17g", s.Quantile(0.99))
-            << ", \"sum\": " << StrFormat("%.17g", s.sum())
-            << ", \"count\": " << s.count() << "}";
+        out << "{\"p50\": " << Exact{s.Quantile(0.5)}
+            << ", \"p95\": " << Exact{s.Quantile(0.95)}
+            << ", \"p99\": " << Exact{s.Quantile(0.99)}
+            << ", \"sum\": " << Exact{s.sum()} << ", \"count\": " << s.count()
+            << "}";
         break;
       }
       case MetricType::kSlo: {
         const Slo& s = *entry.slo;
         out << "{\"good\": " << s.good() << ", \"breach\": " << s.breached()
-            << ", \"objective\": " << StrFormat("%.17g", s.spec().threshold)
+            << ", \"objective\": " << Exact{s.spec().threshold}
             << ", \"observed\": "
-            << StrFormat("%.17g", s.sketch().Quantile(s.spec().quantile))
-            << ", \"budget_burn\": " << StrFormat("%.17g", s.BudgetBurn())
-            << "}";
+            << Exact{s.sketch().Quantile(s.spec().quantile)}
+            << ", \"budget_burn\": " << Exact{s.BudgetBurn()} << "}";
         break;
       }
     }
   }
   out << "\n}\n";
-  return out.str();
+}
+
+std::string MetricsRegistry::JsonSnapshot() const {
+  return WriteToString([this](ExportWriter& out) { WriteJsonSnapshot(out); });
 }
 
 void MetricsRegistry::ResetAll() {

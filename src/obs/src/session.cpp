@@ -1,11 +1,11 @@
 #include "scan/obs/session.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "scan/common/log.hpp"
 #include "scan/common/str.hpp"
 #include "scan/obs/audit.hpp"
+#include "scan/obs/export_writer.hpp"
 #include "scan/obs/metrics.hpp"
 #include "scan/obs/trace.hpp"
 
@@ -55,12 +55,13 @@ void ObsSession::Finish() {
   }
   if (metrics_on_) {
     DisableMetrics();
-    const std::string text = EndsWith(options_.metrics_path, ".json")
-                                 ? MetricsRegistry::Global().JsonSnapshot()
-                                 : MetricsRegistry::Global().PrometheusText();
-    std::ofstream out(options_.metrics_path);
-    out << text;
-    if (!out.good()) {
+    ExportWriter out(options_.metrics_path);
+    if (EndsWith(options_.metrics_path, ".json")) {
+      MetricsRegistry::Global().WriteJsonSnapshot(out);
+    } else {
+      MetricsRegistry::Global().WritePrometheusText(out);
+    }
+    if (!out.Close()) {
       std::fprintf(stderr, "obs: failed to write metrics to %s\n",
                    options_.metrics_path.c_str());
     }

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
-#include "scan/common/str.hpp"
+#include "scan/obs/export_writer.hpp"
 
 namespace scan::obs {
 
@@ -165,40 +164,47 @@ void Slo::Reset() {
   breached_.store(0, std::memory_order_relaxed);
 }
 
-std::string SketchPrometheusBlock(const std::string& name,
-                                  const std::string& help,
-                                  const QuantileSketch& sketch) {
-  std::ostringstream out;
+void WriteSketchPrometheus(ExportWriter& out, const std::string& name,
+                           const std::string& help,
+                           const QuantileSketch& sketch) {
   if (!help.empty()) out << "# HELP " << name << ' ' << help << '\n';
   out << "# TYPE " << name << " summary\n";
   for (const double q : {0.5, 0.95, 0.99}) {
-    out << name << "{quantile=\"" << StrFormat("%g", q) << "\"} "
-        << StrFormat("%.17g", sketch.Quantile(q)) << '\n';
+    out << name << "{quantile=\"" << Label{q} << "\"} "
+        << Exact{sketch.Quantile(q)} << '\n';
   }
-  out << name << "_sum " << StrFormat("%.17g", sketch.sum()) << '\n';
+  out << name << "_sum " << Exact{sketch.sum()} << '\n';
   out << name << "_count " << sketch.count() << '\n';
-  return out.str();
 }
 
-std::string SloPrometheusBlock(const std::string& name,
-                               const std::string& help, const Slo& slo) {
-  std::ostringstream out;
+void WriteSloPrometheus(ExportWriter& out, const std::string& name,
+                        const std::string& help, const Slo& slo) {
   if (!help.empty()) out << "# HELP " << name << ' ' << help << '\n';
   out << "# TYPE " << name << "_good_total counter\n";
   out << name << "_good_total " << slo.good() << '\n';
   out << "# TYPE " << name << "_breach_total counter\n";
   out << name << "_breach_total " << slo.breached() << '\n';
   out << "# TYPE " << name << "_objective gauge\n";
-  out << name << "_objective " << StrFormat("%.17g", slo.spec().threshold)
-      << '\n';
+  out << name << "_objective " << Exact{slo.spec().threshold} << '\n';
   out << "# TYPE " << name << "_observed_quantile gauge\n";
   out << name << "_observed_quantile "
-      << StrFormat("%.17g", slo.sketch().Quantile(slo.spec().quantile))
-      << '\n';
+      << Exact{slo.sketch().Quantile(slo.spec().quantile)} << '\n';
   out << "# TYPE " << name << "_budget_burn gauge\n";
-  out << name << "_budget_burn " << StrFormat("%.17g", slo.BudgetBurn())
-      << '\n';
-  return out.str();
+  out << name << "_budget_burn " << Exact{slo.BudgetBurn()} << '\n';
+}
+
+std::string SketchPrometheusBlock(const std::string& name,
+                                  const std::string& help,
+                                  const QuantileSketch& sketch) {
+  return WriteToString([&](ExportWriter& out) {
+    WriteSketchPrometheus(out, name, help, sketch);
+  });
+}
+
+std::string SloPrometheusBlock(const std::string& name,
+                               const std::string& help, const Slo& slo) {
+  return WriteToString(
+      [&](ExportWriter& out) { WriteSloPrometheus(out, name, help, slo); });
 }
 
 }  // namespace scan::obs

@@ -1,12 +1,11 @@
 #include "scan/obs/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
-#include "scan/common/str.hpp"
+#include "scan/obs/export_writer.hpp"
 #include "scan/obs/span.hpp"
 
 namespace scan::obs {
@@ -76,6 +75,13 @@ struct TraceRecorder::Impl {
   /// Bumped on Clear so every thread's cached lane pointer re-attaches.
   std::atomic<std::uint64_t> epoch{0};
   std::atomic<std::size_t> capacity{kDefaultCapacity};
+
+  /// Every held event in export order: lane by lane (oldest surviving
+  /// event first in a wrapped ring), stable-sorted by time so ties keep
+  /// lane-registration and emission order. The one ordering mechanism
+  /// behind Collect and both exporters; points into the lanes, so the
+  /// caller holds `mutex` while it reads through them.
+  [[nodiscard]] std::vector<const TraceEvent*> Ordered() const;
 };
 
 TraceRecorder& TraceRecorder::Global() {
@@ -141,25 +147,33 @@ void TraceRecorder::Emit(const TraceEvent& event) {
 
 std::uint32_t TraceRecorder::CurrentLane() { return Local().id; }
 
+std::vector<const TraceEvent*> TraceRecorder::Impl::Ordered() const {
+  std::size_t total = 0;
+  for (const auto& lane : lanes) total += lane->ring.size();
+  std::vector<const TraceEvent*> order;
+  order.reserve(total);
+  for (const auto& lane : lanes) {
+    // Ring wrapped: oldest surviving event sits at the overwrite cursor.
+    const std::size_t start = lane->dropped == 0 ? 0 : lane->next;
+    const std::size_t n = lane->ring.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      order.push_back(&lane->ring[(start + i) % n]);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return a->time_tu < b->time_tu;
+                   });
+  return order;
+}
+
 std::vector<TraceEvent> TraceRecorder::Collect() const {
   Impl& im = impl();
   const std::scoped_lock lock(im.mutex);
   std::vector<TraceEvent> merged;
-  for (const auto& lane : im.lanes) {
-    if (lane->dropped == 0) {
-      merged.insert(merged.end(), lane->ring.begin(), lane->ring.end());
-    } else {
-      // Ring wrapped: oldest surviving event sits at the overwrite cursor.
-      merged.insert(merged.end(), lane->ring.begin() + static_cast<std::ptrdiff_t>(lane->next),
-                    lane->ring.end());
-      merged.insert(merged.end(), lane->ring.begin(),
-                    lane->ring.begin() + static_cast<std::ptrdiff_t>(lane->next));
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.time_tu < b.time_tu;
-                   });
+  const std::vector<const TraceEvent*> order = im.Ordered();
+  merged.reserve(order.size());
+  for (const TraceEvent* ev : order) merged.push_back(*ev);
   return merged;
 }
 
@@ -213,14 +227,15 @@ bool ReceivesFlow(const TraceEvent& ev) {
 }  // namespace
 
 bool TraceRecorder::ExportChromeJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  const std::vector<TraceEvent> events = Collect();
+  ExportWriter out(path);
+  Impl& im = impl();
+  const std::scoped_lock lock(im.mutex);
+  const std::vector<const TraceEvent*> events = im.Ordered();
   // Anchor of each span id: where flow arrows out of that span start.
   std::unordered_map<std::uint64_t, const TraceEvent*> anchors;
-  for (const TraceEvent& ev : events) {
-    if (ev.span != kSpanNone && DefinesSpan(ev)) {
-      anchors.emplace(ev.span, &ev);  // first (earliest) definition wins
+  for (const TraceEvent* ev : events) {
+    if (ev->span != kSpanNone && DefinesSpan(*ev)) {
+      anchors.emplace(ev->span, ev);  // first (earliest) definition wins
     }
   }
   out << "{\"traceEvents\":[\n";
@@ -230,18 +245,19 @@ bool TraceRecorder::ExportChromeJson(const std::string& path) const {
     first = false;
   };
   std::uint64_t flow_id = 0;
-  for (const TraceEvent& ev : events) {
+  for (const TraceEvent* evp : events) {
+    const TraceEvent& ev = *evp;
     sep();
-    out << "{\"name\":\"" << EscapeJson(EventKindName(ev.kind))
+    out << "{\"name\":\"" << EventKindName(ev.kind)
         << "\",\"cat\":\"scan\",\"ph\":\"" << (IsSpan(ev.kind) ? "X" : "i")
         << "\"";
     if (!IsSpan(ev.kind)) out << ",\"s\":\"t\"";
-    out << ",\"ts\":" << StrFormat("%.17g", ev.time_tu * kMicrosPerTu);
+    out << ",\"ts\":" << Exact{ev.time_tu * kMicrosPerTu};
     if (IsSpan(ev.kind)) {
-      out << ",\"dur\":" << StrFormat("%.17g", ev.duration_tu * kMicrosPerTu);
+      out << ",\"dur\":" << Exact{ev.duration_tu * kMicrosPerTu};
     }
     out << ",\"pid\":1,\"tid\":" << ev.track << ",\"args\":{\"a\":" << ev.a
-        << ",\"b\":" << ev.b << ",\"v\":" << StrFormat("%.17g", ev.value)
+        << ",\"b\":" << ev.b << ",\"v\":" << Exact{ev.value}
         << ",\"span\":" << ev.span << ",\"parent\":" << ev.parent << "}}";
     // Causal arrow parent -> this event, as a Perfetto flow pair. "bp":"e"
     // binds the finish to the enclosing slice rather than the next one.
@@ -252,32 +268,32 @@ bool TraceRecorder::ExportChromeJson(const std::string& path) const {
         const std::uint64_t id = ++flow_id;
         sep();
         out << "{\"name\":\"causal\",\"cat\":\"scan-flow\",\"ph\":\"s\",\"id\":"
-            << id << ",\"ts\":" << StrFormat("%.17g", from.time_tu * kMicrosPerTu)
+            << id << ",\"ts\":" << Exact{from.time_tu * kMicrosPerTu}
             << ",\"pid\":1,\"tid\":" << from.track << "}";
         sep();
         out << "{\"name\":\"causal\",\"cat\":\"scan-flow\",\"ph\":\"f\",\"bp\":"
             << "\"e\",\"id\":" << id
-            << ",\"ts\":" << StrFormat("%.17g", ev.time_tu * kMicrosPerTu)
+            << ",\"ts\":" << Exact{ev.time_tu * kMicrosPerTu}
             << ",\"pid\":1,\"tid\":" << ev.track << "}";
       }
     }
   }
   out << (first ? "" : "\n") << "]}\n";
-  return out.good();
+  return out.Close();
 }
 
 bool TraceRecorder::ExportJsonl(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  for (const TraceEvent& ev : Collect()) {
-    out << "{\"t\":" << StrFormat("%.17g", ev.time_tu)
-        << ",\"dur\":" << StrFormat("%.17g", ev.duration_tu)
-        << ",\"kind\":\"" << EscapeJson(EventKindName(ev.kind))
-        << "\",\"track\":" << ev.track << ",\"a\":" << ev.a
-        << ",\"b\":" << ev.b << ",\"v\":" << StrFormat("%.17g", ev.value)
-        << ",\"span\":" << ev.span << ",\"parent\":" << ev.parent << "}\n";
+  ExportWriter out(path);
+  Impl& im = impl();
+  const std::scoped_lock lock(im.mutex);
+  for (const TraceEvent* ev : im.Ordered()) {
+    out << "{\"t\":" << Exact{ev->time_tu} << ",\"dur\":" << Exact{ev->duration_tu}
+        << ",\"kind\":\"" << EventKindName(ev->kind)
+        << "\",\"track\":" << ev->track << ",\"a\":" << ev->a
+        << ",\"b\":" << ev->b << ",\"v\":" << Exact{ev->value}
+        << ",\"span\":" << ev->span << ",\"parent\":" << ev->parent << "}\n";
   }
-  return out.good();
+  return out.Close();
 }
 
 }  // namespace scan::obs

@@ -38,7 +38,9 @@ std::string PrintPdl(const PipelineDecl& ast) {
   if (ast.shard.has_value()) {
     out += "  shard = " + ast.shard->policy;
     if (ast.shard->param.has_value()) {
-      out += "(" + FormatPdlNumber(*ast.shard->param) + ")";
+      out += '(';
+      out += FormatPdlNumber(*ast.shard->param);
+      out += ')';
     }
     out += ";\n";
   }
