@@ -287,7 +287,8 @@ bool TraceRecorder::ExportJsonl(const std::string& path) const {
   Impl& im = impl();
   const std::scoped_lock lock(im.mutex);
   for (const TraceEvent* ev : im.Ordered()) {
-    out << "{\"t\":" << Exact{ev->time_tu} << ",\"dur\":" << Exact{ev->duration_tu}
+    out << "{\"t\":" << Exact{ev->time_tu}
+        << ",\"dur\":" << Exact{ev->duration_tu}
         << ",\"kind\":\"" << EventKindName(ev->kind)
         << "\",\"track\":" << ev->track << ",\"a\":" << ev->a
         << ",\"b\":" << ev->b << ",\"v\":" << Exact{ev->value}

@@ -190,7 +190,8 @@ TEST_F(ExportGoldenTest, TraceChromeJsonIsPinned) {
 TEST_F(ExportGoldenTest, WrappedRingJsonlIsPinned) {
   TraceRecorder::Global().Enable(4);
   for (const double t : {5.0, 1.0, 4.0, 2.0, 2.0, 0.0}) {
-    TraceEmit(EventKind::kJobArrival, t, 0, static_cast<std::uint64_t>(t * 10));
+    TraceEmit(EventKind::kJobArrival, t, 0,
+              static_cast<std::uint64_t>(t * 10));
   }
   TraceRecorder::Global().Disable();
   const std::string text =
