@@ -269,10 +269,10 @@ void RuntimePlatform::PumpArrivals() {
     ScheduleAt(*next, [this] {
       const std::vector<workload::Job> jobs = options_.ingest->PullDue(Now());
       AdmitJobs(jobs);
+      TryDispatchAll();
       // Re-ask only after the pull: the source's next instant may depend
       // on what was just consumed (its lookahead batch, quota epochs).
       PumpArrivals();
-      TryDispatchAll();
     });
     return;
   }
@@ -356,7 +356,6 @@ void RuntimePlatform::AdmitJobs(const std::vector<workload::Job>& jobs) {
       }
     }
   }
-  TryDispatchAll();
 }
 
 void RuntimePlatform::AuditPlan(std::uint64_t job_id, DataSize size,

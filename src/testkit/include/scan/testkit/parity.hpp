@@ -38,6 +38,9 @@ struct ParityResult {
   /// from each side's span graph).
   std::size_t critical_paths_compared = 0;
   std::size_t ledger_rows_compared = 0;
+  /// Decision-audit hire and plan records compared (non-zero only when
+  /// the audit was enabled for the check, e.g. under SCAN_OBS_FULL=1).
+  std::size_t audit_records_compared = 0;
 
   [[nodiscard]] bool ok() const { return mismatches.empty(); }
   [[nodiscard]] std::string Describe() const;

@@ -1,7 +1,9 @@
 #include "scan/testkit/parity.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -170,6 +172,89 @@ void CompareObsArtifacts(const ObsArtifacts& sim, const ObsArtifacts& live,
   }
 }
 
+/// The decision audit of one engine's run.
+struct AuditArtifacts {
+  std::vector<obs::HireDecisionRecord> hires;
+  std::vector<obs::PlanDecisionRecord> plans;
+};
+
+AuditArtifacts CollectAudit() {
+  const obs::DecisionAudit& audit = obs::DecisionAudit::Global();
+  return {audit.hires(), audit.plans()};
+}
+
+/// Bitwise double equality (NaN cost fields compare equal to themselves).
+bool Same(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool SameHire(const obs::HireDecisionRecord& a,
+              const obs::HireDecisionRecord& b) {
+  return Same(a.time_tu, b.time_tu) && a.job_id == b.job_id &&
+         a.stage == b.stage && a.threads == b.threads &&
+         a.choice == b.choice && std::strcmp(a.scaling, b.scaling) == 0 &&
+         a.queue_length == b.queue_length &&
+         Same(a.head_size_du, b.head_size_du) &&
+         Same(a.delay_cost, b.delay_cost) && Same(a.hire_cost, b.hire_cost) &&
+         Same(a.next_free_delay_tu, b.next_free_delay_tu) &&
+         Same(a.boot_penalty_tu, b.boot_penalty_tu) &&
+         Same(a.public_core_price, b.public_core_price) &&
+         Same(a.rework_factor, b.rework_factor);
+}
+
+bool SamePlan(const obs::PlanDecisionRecord& a,
+              const obs::PlanDecisionRecord& b) {
+  return Same(a.time_tu, b.time_tu) && a.job_id == b.job_id &&
+         Same(a.size_du, b.size_du) &&
+         std::strcmp(a.allocation, b.allocation) == 0 && a.plan == b.plan &&
+         Same(a.price_hint, b.price_hint) &&
+         Same(a.predicted_exec_tu, b.predicted_exec_tu) &&
+         Same(a.predicted_reward, b.predicted_reward);
+}
+
+/// Both engines must log the same hire-vs-wait and plan decisions, in the
+/// same order: a dispatch round one engine runs and the other does not
+/// shows up here as duplicated kWait records even when the schedules
+/// agree.
+void CompareAudits(const AuditArtifacts& sim, const AuditArtifacts& live,
+                   ParityResult& result) {
+  if (sim.hires.size() != live.hires.size()) {
+    Note(result.mismatches,
+         "audit hire records: sim=" + std::to_string(sim.hires.size()) +
+             " runtime=" + std::to_string(live.hires.size()));
+  }
+  if (sim.plans.size() != live.plans.size()) {
+    Note(result.mismatches,
+         "audit plan records: sim=" + std::to_string(sim.plans.size()) +
+             " runtime=" + std::to_string(live.plans.size()));
+  }
+  const std::size_t n = std::min(sim.hires.size(), live.hires.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!SameHire(sim.hires[i], live.hires[i])) {
+      std::ostringstream oss;
+      oss << "audit hire[" << i << "]: sim(job " << sim.hires[i].job_id
+          << " stage " << sim.hires[i].stage << " "
+          << obs::HireChoiceName(sim.hires[i].choice) << " @"
+          << sim.hires[i].time_tu << ") != runtime(job "
+          << live.hires[i].job_id << " stage " << live.hires[i].stage << " "
+          << obs::HireChoiceName(live.hires[i].choice) << " @"
+          << live.hires[i].time_tu << ")";
+      Note(result.mismatches, oss.str());
+      break;
+    }
+  }
+  const std::size_t m = std::min(sim.plans.size(), live.plans.size());
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!SamePlan(sim.plans[i], live.plans[i])) {
+      Note(result.mismatches, "audit plan[" + std::to_string(i) + "] (job " +
+                                  std::to_string(sim.plans[i].job_id) +
+                                  "): sim and runtime records differ");
+      break;
+    }
+  }
+  result.audit_records_compared = n + m;
+}
+
 }  // namespace
 
 std::string ParityResult::Describe() const {
@@ -225,8 +310,19 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
     obs::DecisionAudit::Global().Enable();
   }
 
+  // With the decision audit on (SCAN_OBS_TRACE, SCAN_OBS_FULL, or a test
+  // that enabled it), each engine's records are captured separately and
+  // compared. The audit is quiescent here, so clearing it is safe.
+  const bool audit = obs::AuditEnabled();
+  if (audit) obs::DecisionAudit::Global().Clear();
+
   core::Scheduler scheduler(config, model, seed, sim_options);
   const core::RunMetrics sim_metrics = scheduler.Run();
+  AuditArtifacts sim_audit;
+  if (audit) {
+    sim_audit = CollectAudit();
+    obs::DecisionAudit::Global().Clear();
+  }
 
   ObsArtifacts sim_artifacts;
   if (obs_full) {
@@ -236,6 +332,8 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
 
   runtime::RuntimePlatform platform(config, model, seed, runtime_options);
   const runtime::RuntimeReport report = platform.Serve();
+  AuditArtifacts runtime_audit;
+  if (audit) runtime_audit = CollectAudit();
 
   ObsArtifacts runtime_artifacts;
   if (obs_full) {
@@ -254,6 +352,7 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
   if (obs_full) {
     CompareObsArtifacts(sim_artifacts, runtime_artifacts, result);
   }
+  if (audit) CompareAudits(sim_audit, runtime_audit, result);
   if (result.sim_fingerprint.digest != result.runtime_fingerprint.digest) {
     for (std::string& diff :
          result.sim_fingerprint.DiffAgainst(result.runtime_fingerprint)) {

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "scan/gatk/pipeline_model.hpp"
+#include "scan/obs/audit.hpp"
 #include "scan/testkit/digest.hpp"
 
 namespace scan::testkit {
@@ -59,6 +60,7 @@ TEST_P(SimRuntimeParity, VirtualClockRunMatchesSimulatorBitForBit) {
   if (obs_full != nullptr && obs_full[0] != '\0' && obs_full[0] != '0') {
     EXPECT_EQ(result.critical_paths_compared, result.job_records);
     EXPECT_GT(result.ledger_rows_compared, 0u);
+    EXPECT_GT(result.audit_records_compared, 0u);
   }
 }
 
@@ -104,6 +106,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<ParityCase>& info) {
       return info.param.name;
     });
+
+/// Both engines must log the same decisions, not just reach the same
+/// schedule: an extra dispatch round in one of them re-audits every kWait
+/// without moving a single assignment.
+class AuditParity : public testing::TestWithParam<core::ScalingAlgorithm> {
+ protected:
+  void SetUp() override {
+    obs::DecisionAudit::Global().Clear();
+    obs::DecisionAudit::Global().Enable();
+  }
+  void TearDown() override {
+    obs::DecisionAudit::Global().Disable();
+    obs::DecisionAudit::Global().Clear();
+  }
+};
+
+TEST_P(AuditParity, HireAndPlanRecordsMatchSimulator) {
+  core::SimulationConfig config;
+  config.duration = SimTime{600.0};
+  config.scaling = GetParam();
+  const ParityResult result = CheckSimRuntimeParity(config, /*seed=*/77);
+  EXPECT_TRUE(result.ok()) << result.Describe();
+  EXPECT_GT(result.audit_records_compared, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scalings, AuditParity,
+                         testing::Values(ScalingAlgorithm::kPredictive,
+                                         ScalingAlgorithm::kNeverScale),
+                         [](const testing::TestParamInfo<ScalingAlgorithm>& info) {
+                           return info.param == ScalingAlgorithm::kPredictive
+                                      ? std::string("Predictive")
+                                      : std::string("NeverScale");
+                         });
 
 TEST(RuntimeDeterminism, SameSeedVirtualRunsAreBitIdentical) {
   core::SimulationConfig config = BaseConfig();
