@@ -1,22 +1,20 @@
 #pragma once
 
-// Time backends for the live runtime.
+// Time for the live runtime.
 //
-// The simulator's clock is the event calendar; the live runtime needs a
-// clock that real threads can run against. Two backends:
+// The runtime's control events run on the engine core's calendar
+// (sim::Simulator). In virtual mode the calendar's time *is* the clock:
+// the coordinator fires events in (time, sequence) order and a stage task
+// "runs" for its modeled T_i(t, d) without sleeping (its slices execute a
+// token spin so the concurrent machinery is genuinely exercised). This is
+// the parity mode: with pinned seeds the runtime must reproduce the
+// simulator's schedule bit for bit.
 //
-//  - VirtualClock: deterministic, time-warped. The coordinator advances
-//    the clock to each event's instant; a stage task "runs" for its
-//    modeled T_i(t, d) without sleeping (workers execute a token spin so
-//    the concurrent machinery is genuinely exercised). This is the parity
-//    mode: with pinned seeds the runtime must reproduce the simulator's
-//    schedule bit for bit.
-//
-//  - WallClock: maps simulation TU onto real seconds; stage tasks burn
-//    actual CPU for their modeled duration via a calibrated spin kernel.
-//    Completion times are physical, so runs are NOT deterministic — this
-//    backend exists to measure the live system (throughput, dispatch
-//    latency) and to give ThreadSanitizer real interleavings to bite on.
+// In wall mode, WallClock maps simulation TU onto real seconds and stage
+// tasks burn actual CPU for their modeled duration via a calibrated spin
+// kernel. Completion times are physical, so runs are NOT deterministic —
+// this mode exists to measure the live system (throughput, dispatch
+// latency) and to give ThreadSanitizer real interleavings to bite on.
 
 #include <chrono>
 #include <cstdint>
@@ -32,7 +30,7 @@ namespace scan::runtime {
 class SpinKernel {
  public:
   /// Uncalibrated kernel with a conservative default rate; sufficient for
-  /// BurnIterations-only (VirtualClock) use.
+  /// BurnIterations-only (virtual clock) use.
   SpinKernel() = default;
 
   /// Measures the host's spin throughput (a few ms, once per process).
@@ -43,7 +41,7 @@ class SpinKernel {
   /// (frequency scaling, preemption) cannot hang a worker.
   void Burn(double seconds) const;
 
-  /// Burns an explicit iteration count (token work for VirtualClock).
+  /// Burns an explicit iteration count (token work on the virtual clock).
   void BurnIterations(std::uint64_t iterations) const;
 
   [[nodiscard]] double iterations_per_second() const { return rate_; }
@@ -59,47 +57,19 @@ enum class ClockMode { kVirtual, kWall };
   return mode == ClockMode::kVirtual ? "virtual" : "wall";
 }
 
-/// Abstract runtime clock in simulation TU.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  [[nodiscard]] virtual ClockMode mode() const = 0;
-  /// Current runtime time.
-  [[nodiscard]] virtual SimTime Now() const = 0;
-  /// Real seconds one TU of modeled stage execution costs a worker
-  /// (0 = time-warped: workers do token work only).
-  [[nodiscard]] virtual double seconds_per_tu() const = 0;
-};
-
-/// Deterministic time-warped clock; the coordinator owns advancement.
-class VirtualClock final : public Clock {
- public:
-  [[nodiscard]] ClockMode mode() const override { return ClockMode::kVirtual; }
-  [[nodiscard]] SimTime Now() const override { return now_; }
-  [[nodiscard]] double seconds_per_tu() const override { return 0.0; }
-
-  /// Warps to `t` (monotone non-decreasing, enforced by the coordinator).
-  void AdvanceTo(SimTime t) { now_ = t; }
-
- private:
-  SimTime now_{0.0};
-};
-
-/// Maps TU onto std::chrono::steady_clock seconds from Start().
-class WallClock final : public Clock {
+/// Maps TU onto std::chrono::steady_clock seconds from construction.
+class WallClock {
  public:
   explicit WallClock(double seconds_per_tu)
       : seconds_per_tu_(seconds_per_tu), start_(std::chrono::steady_clock::now()) {}
 
-  [[nodiscard]] ClockMode mode() const override { return ClockMode::kWall; }
-  [[nodiscard]] SimTime Now() const override {
+  [[nodiscard]] SimTime Now() const {
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start_;
     return SimTime{elapsed.count() / seconds_per_tu_};
   }
-  [[nodiscard]] double seconds_per_tu() const override {
-    return seconds_per_tu_;
-  }
+  /// Real seconds one TU of modeled stage execution costs a worker.
+  [[nodiscard]] double seconds_per_tu() const { return seconds_per_tu_; }
 
   /// The wall instant at which runtime time reaches `t`.
   [[nodiscard]] std::chrono::steady_clock::time_point DeadlineFor(

@@ -1,4 +1,4 @@
-#include "scan/runtime/live_worker.hpp"
+#include "scan/runtime/stage_execution.hpp"
 
 #include <atomic>
 #include <cassert>
@@ -14,13 +14,12 @@ namespace scan::runtime {
 
 namespace {
 
-/// Token work per slice under VirtualClock — enough to force real pool
+/// Token work per slice on the virtual clock — enough to force real pool
 /// scheduling and memory traffic, small enough not to dominate the run.
 constexpr std::uint64_t kTokenIterations = 256;
 
 /// Shared countdown for one task's slices. Heap-owned and shared by every
-/// slice so the worker (and even the platform's worker map entry) may be
-/// destroyed while slices are still in flight.
+/// slice, so nothing outside the slices has to outlive them.
 struct SliceGroup {
   std::atomic<int> remaining{0};
   std::uint64_t ticket = 0;
@@ -29,20 +28,20 @@ struct SliceGroup {
 
 }  // namespace
 
-void LiveWorker::Execute(const StageTask& task) {
+void LaunchStageTask(const StageTask& task, ThreadPool& pool,
+                     CompletionQueue& completions, SpinKernel kernel) {
   assert(task.slices >= 1);
   auto group = std::make_shared<SliceGroup>();
   group->remaining.store(task.slices, std::memory_order_relaxed);
   group->ticket = task.ticket;
-  group->completions = completions_;
+  group->completions = &completions;
 
   for (int slice = 0; slice < task.slices; ++slice) {
-    pool_->Submit(UniqueTask([group, kernel = kernel_,
-                              pre = task.pre_delay_seconds,
-                              burn = task.burn_seconds, slice,
-                              sim_start = task.sim_start_tu,
-                              sim_exec = task.sim_exec_tu,
-                              parent_span = task.parent_span] {
+    pool.Submit(UniqueTask([group, kernel, pre = task.pre_delay_seconds,
+                            burn = task.burn_seconds, slice,
+                            sim_start = task.sim_start_tu,
+                            sim_exec = task.sim_exec_tu,
+                            parent_span = task.parent_span] {
       if (pre > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(pre));
       }
