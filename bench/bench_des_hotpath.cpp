@@ -39,6 +39,7 @@
 #include "scan/common/str.hpp"
 #include "scan/sim/calendar.hpp"
 #include "scan/sim/simulator.hpp"
+#include "sim/reference_calendar.hpp"
 
 namespace scan::bench {
 namespace {

@@ -17,7 +17,7 @@
 // time supplied by the caller, never with wall time, and recording never
 // draws randomness or feeds back into scheduling state. A simulator run
 // is single-threaded, so it records into a single lane; under the
-// runtime's VirtualClock the coordinator's decision events are likewise
+// runtime's virtual clock the coordinator's decision events are likewise
 // single-lane, while executor threads record their slice events into their
 // own lanes. Enabling tracing therefore cannot perturb the 15-seed
 // sim <-> runtime parity suite.

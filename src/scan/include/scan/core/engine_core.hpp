@@ -307,15 +307,10 @@ class EngineCore {
 
   /// Terminal-event entry point: completion, crash or flap per end.kind.
   void EndTask(const TaskEnd& end);
-  /// The assignment finished (whatever its drawn fate): frees the worker
-  /// and advances the task unless its epoch is stale.
+  /// The assignment finished, whatever its drawn fate (a wall-clock task
+  /// can finish before its modeled crash or flap): frees the worker and
+  /// advances the task unless its epoch is stale.
   void OnTaskComplete(const TaskEnd& end);
-  /// The worker crashed mid-task: bill and discard it, then recover the
-  /// interrupted assignment (checkpoint resume, retry budget, backoff).
-  void OnWorkerFailure(const TaskEnd& end);
-  /// The worker dropped its task but survives and returns to the idle
-  /// pool; feeds the per-worker circuit breaker.
-  void OnWorkerFlap(const TaskEnd& end);
 
   /// Measures the wall time of every dispatch round into
   /// dispatch_micros() and the scan_dispatch_micros histogram. Off by
@@ -422,6 +417,12 @@ class EngineCore {
   bool TryDispatchHead(std::size_t stage);
   void AssignTask(std::uint64_t job_id, std::size_t stage,
                   WorkerBook& worker, SimTime start_time);
+  /// The worker crashed mid-task: bill and discard it, then recover the
+  /// interrupted assignment (checkpoint resume, retry budget, backoff).
+  void OnWorkerFailure(const TaskEnd& end);
+  /// The worker dropped its task but survives and returns to the idle
+  /// pool; feeds the per-worker circuit breaker.
+  void OnWorkerFlap(const TaskEnd& end);
   /// Shared recovery path for a valid-epoch task loss (crash or flap):
   /// checkpoint credit, sibling check, retry budget, backoff scheduling.
   void HandleTaskLoss(JobState& job, std::size_t stage, SimTime served,

@@ -143,9 +143,7 @@ void EngineCore::Start() {
   // scheduling decisions — the generator draws from its own RNG streams,
   // so lazy pulls reproduce exactly the schedule the old pre-generated
   // path built.
-  if (options_.trace && ingest_ == nullptr) {
-    trace_batches_ = options_.trace->ToBatches();
-  }
+  if (options_.trace) trace_batches_ = options_.trace->ToBatches();
   PumpArrivals();
 
   if (config_.scaling == ScalingAlgorithm::kLearnedBandit) {

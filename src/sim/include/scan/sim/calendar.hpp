@@ -2,28 +2,21 @@
 
 // Event calendars for the discrete-event simulator.
 //
-// Two implementations share one interface contract:
+// LadderCalendar is a calendar-queue/ladder-queue hybrid. Near-future
+// events land in a window of 512 time buckets; events beyond the window
+// go to an unsorted overflow list; the imminent bucket is sorted once on
+// activation into `current_`, a descending vector popped from the back in
+// O(1). When the window is spent the calendar reseeds: it re-derives the
+// bucket width from the overflow span and redistributes, so throughput
+// adapts to whatever event-time distribution the workload produces.
 //
-//   LadderCalendar    — the production calendar: a calendar-queue/ladder-
-//                       queue hybrid. Near-future events land in a window
-//                       of 512 time buckets; events beyond the window go
-//                       to an unsorted overflow list; the imminent bucket
-//                       is sorted once on activation into `current_`, a
-//                       descending vector popped from the back in O(1).
-//                       When the window is spent the calendar reseeds:
-//                       it re-derives the bucket width from the overflow
-//                       span and redistributes, so throughput adapts to
-//                       whatever event-time distribution the workload
-//                       produces.
-//   ReferenceCalendar — the retained std::priority_queue baseline, kept
-//                       verbatim for differential testing and as the
-//                       "before" leg of bench_des_hotpath.
-//
-// Both order strictly by (when, seq) ascending — seq is the simulator's
+// It orders strictly by (when, seq) ascending — seq is the simulator's
 // monotone schedule sequence number, so simultaneous events pop in
-// schedule (FIFO) order and pop order is bit-identical between the two.
-// Cancellation stays the simulator's job (lazy deletion by seq); the
-// calendar only stores and orders.
+// schedule (FIFO) order, bit-identical to the std::priority_queue
+// reference kept in tests/sim/reference_calendar.hpp (the differential
+// oracle and the "before" leg of bench_des_hotpath). Cancellation stays
+// the simulator's job (lazy deletion by seq); the calendar only stores
+// and orders.
 //
 // Determinism note: bucket indices are pure functions of the event time's
 // double value, the window base, and the width — all derived from event
@@ -35,9 +28,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -240,45 +231,5 @@ class LadderCalendar {
   PoolArena<EventNode> arena_;
   CalendarStats stats_;
 };
-
-/// The pre-ladder calendar, verbatim: a binary heap of fat events ordered
-/// by (when, seq). Retained as the differential-testing oracle and the
-/// baseline leg of the hot-path benchmark. Templated on the callback type
-/// so the differential test can instantiate it for its reference engine;
-/// `ReferenceCalendar` below is the historical shape.
-template <class Callback>
-class BasicReferenceCalendar {
- public:
-  struct Event {
-    double when = 0.0;
-    std::uint64_t seq = 0;
-    Callback cb;
-  };
-
-  void Push(double when, std::uint64_t seq, Callback cb) {
-    heap_.push(Event{when, seq, std::move(cb)});
-  }
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] const Event& PeekMin() const { return heap_.top(); }
-
-  [[nodiscard]] Event PopMin() {
-    Event event = heap_.top();  // copy, as the legacy engine did
-    heap_.pop();
-    return event;
-  }
-
- private:
-  struct Order {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Order> heap_;
-};
-
-using ReferenceCalendar = BasicReferenceCalendar<std::function<void(Simulator&)>>;
 
 }  // namespace scan::sim

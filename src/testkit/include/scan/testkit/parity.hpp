@@ -1,14 +1,20 @@
 #pragma once
 
 // Sim <-> runtime parity oracle: the cross-validation contract of the live
-// runtime. Under the runtime's VirtualClock, a pinned seed must make the
+// runtime. On the runtime's virtual clock, a pinned seed must make the
 // simulator and the live platform produce the *same run* — the identical
 // per-job stage schedule (worker, threads, start, end for every
 // assignment), the identical completions, and a bit-identical
 // MetricsFingerprint — even though the runtime executed every stage task
-// on real OS threads. The two sides share only the SchedulingPolicy
-// decision core; queues, worker books, and the event loop are independent
-// implementations, so agreement here checks both against each other.
+// on real OS threads.
+//
+// Both engines drive one core::EngineCore, so the scheduling mechanics
+// exist once. What parity checks is the two drivers: the runtime's ticket
+// gating (each terminal event waits for its physical completion message,
+// whatever order the executor threads finish in), its physical execution
+// on the pool, and its use of the shared calendar (every insert in the
+// simulator's order). With the decision audit on, the two engines' hire
+// and plan records must match as well.
 
 #include <cstdint>
 #include <string>
@@ -46,11 +52,11 @@ struct ParityResult {
   [[nodiscard]] std::string Describe() const;
 };
 
-/// Runs the discrete-event simulator and the live runtime (forced to
-/// VirtualClock, schedule recording on) with the same config and seed and
+/// Runs the discrete-event simulator and the live runtime (forced to the
+/// virtual clock, schedule recording on) with the same config and seed and
 /// compares the full parity payload. Remaining `runtime_options` fields
 /// (forced plan, price hint, trace, timeline sampling) are honored and
-/// mirrored onto the simulator's options.
+/// copied onto the simulator's options.
 [[nodiscard]] ParityResult CheckSimRuntimeParity(
     const core::SimulationConfig& config, const gatk::PipelineModel& model,
     std::uint64_t seed, runtime::RuntimeOptions runtime_options = {});

@@ -1,10 +1,10 @@
-// The headline correctness claim of the live runtime: under VirtualClock
-// with a pinned seed, RuntimePlatform completes the same job set with the
-// same per-job stage schedule as the discrete-event Scheduler — bit for
-// bit, across the scaling x allocation matrix, including failure
-// injection and timeline sampling. The two sides share only the
-// SchedulingPolicy decision core, so this cross-validates two independent
-// implementations of the dispatch mechanics against each other.
+// The headline correctness claim of the live runtime: on the virtual
+// clock with a pinned seed, RuntimePlatform completes the same job set
+// with the same per-job stage schedule as the discrete-event Scheduler —
+// bit for bit, across the scaling x allocation matrix, including failure
+// injection and timeline sampling. Both engines drive the same
+// core::EngineCore, so this checks the runtime driver — ticket gating,
+// physical execution on the pool, calendar use — against the simulator's.
 
 #include "scan/testkit/parity.hpp"
 

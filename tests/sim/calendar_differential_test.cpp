@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference_calendar.hpp"
 #include "scan/common/rng.hpp"
 #include "scan/sim/simulator.hpp"
 
