@@ -125,7 +125,8 @@ class RuntimePlatform : private core::EngineDriver {
   /// Launches the assignment's slices and arranges delivery of its end.
   void StartExecution(const core::Assignment& assignment) override;
 
-  void RunVirtual();
+  /// Wall mode's loop: fires due control events, hands completions to
+  /// the core as they arrive, and sleeps on the completion queue between.
   void RunWall();
 
   /// Blocks until the worker message for `ticket` has been consumed,

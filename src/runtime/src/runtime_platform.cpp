@@ -59,10 +59,11 @@ RuntimeReport RuntimePlatform::Serve() {
   const auto wall_start = std::chrono::steady_clock::now();
 
   core_.Start();
-  if (options_.clock == ClockMode::kVirtual) {
-    RunVirtual();
-  } else {
+  if (wclock_) {
     RunWall();
+  } else {
+    // Virtual time is the calendar's: the simulator's own loop.
+    core_.calendar().RunUntil(core_.config().duration);
   }
 
   // Every dispatched task still owes a message (e.g. tasks orphaned by a
@@ -132,10 +133,6 @@ void RuntimePlatform::StartExecution(const core::Assignment& assignment) {
       WallFaultDue(ticket);
     });
   }
-}
-
-void RuntimePlatform::RunVirtual() {
-  core_.calendar().RunUntil(core_.config().duration);
 }
 
 void RuntimePlatform::RunWall() {

@@ -1,17 +1,16 @@
 #pragma once
 
-// The scheduler's decision core, factored out of the discrete-event
-// Scheduler so the live runtime (scan::runtime::RuntimePlatform) and the
-// simulator share one implementation instead of forking it.
+// The scheduler's decision core, held by the EngineCore that both the
+// discrete-event Scheduler and the live runtime drive.
 //
 // The policy owns everything that decides *what* to run where — the
 // per-job thread plan (allocation algorithms), the predictive hire-or-wait
 // inequality (Eq. 1 delay cost vs. hire cost), the online queue-wait
 // estimator feeding Eq. 2, the learned-bandit scaling arm, and adaptive
 // replanning — but none of the execution mechanics (queues, worker books,
-// the event loop). Callers describe their queue state through
-// QueuedJobSnapshot spans, so the policy never touches driver-specific
-// containers.
+// the event loop; see engine_core.hpp). Callers describe their queue
+// state through QueuedJobSnapshot spans, so the policy never touches the
+// core's containers.
 //
 // Determinism contract: the policy is driven in event order by its caller;
 // equal call sequences produce bit-identical decisions (its RNG streams

@@ -579,9 +579,11 @@ void EngineCore::AssignTask(std::uint64_t job_id, std::size_t stage,
         });
   }
 
+  // The driver executes the assignment and hands its end back at the
+  // modeled instant of the drawn fate.
   Assignment assignment;
-  assignment.end = {job_id,     worker_key,           epoch,
-                    start_time, exec,                 fate.actual_end - done_at,
+  assignment.end = {job_id, worker_key, epoch, start_time, exec,
+                    fate.actual_end - done_at,
                     static_cast<std::uint32_t>(stage), TaskEndKind::kComplete};
   assignment.dispatched = now;
   assignment.end_at = fate.actual_end;

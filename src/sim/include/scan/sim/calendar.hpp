@@ -41,8 +41,9 @@ namespace scan::sim {
 class Simulator;
 
 /// Inline-buffer callback type for calendar events. 64 bytes covers every
-/// capture in the scheduler and runtime hot paths (the largest is 48
-/// bytes), so steady-state event scheduling performs no heap allocation.
+/// capture in the engine core and its drivers (the largest, the
+/// discrete-event terminal event, is exactly 64 bytes), so steady-state
+/// event scheduling performs no heap allocation.
 using EventCallback = InplaceFunction<void(Simulator&), 64>;
 
 /// Counters exposed for benchmarks and the boundary tests.

@@ -134,8 +134,8 @@ TEST_P(AuditParity, HireAndPlanRecordsMatchSimulator) {
 INSTANTIATE_TEST_SUITE_P(Scalings, AuditParity,
                          testing::Values(ScalingAlgorithm::kPredictive,
                                          ScalingAlgorithm::kNeverScale),
-                         [](const testing::TestParamInfo<ScalingAlgorithm>& info) {
-                           return info.param == ScalingAlgorithm::kPredictive
+                         [](const testing::TestParamInfo<ScalingAlgorithm>& p) {
+                           return p.param == ScalingAlgorithm::kPredictive
                                       ? std::string("Predictive")
                                       : std::string("NeverScale");
                          });
