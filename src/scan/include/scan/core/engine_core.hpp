@@ -384,6 +384,7 @@ class EngineCore {
     /// from a speculative copy on re-assignment of the same worker).
     std::uint64_t assignment_seq = 0;
   };
+  using WorkerMap = std::unordered_map<std::uint64_t, WorkerBook>;
 
   [[nodiscard]] SimTime Now() const { return driver_.Now(); }
 
@@ -437,7 +438,7 @@ class EngineCore {
                           std::uint64_t assignment_seq);
   void ScheduleIdleRelease(std::uint64_t worker_key);
   /// Releases one idle worker: utilization feedback, bill, books, trace.
-  void ReleaseIdle(std::uint64_t worker_key, SimTime now);
+  void ReleaseIdle(WorkerMap::iterator it, SimTime now);
 
   /// Key of one (job, stage) task for the speculative-copy ledger. Stage
   /// indices fit 8 bits (PipelineModel::kMaxStages).
@@ -508,7 +509,7 @@ class EngineCore {
 
   std::vector<std::deque<std::uint64_t>> queues_;  ///< job ids per stage
   std::unordered_map<std::uint64_t, JobState> jobs_;
-  std::unordered_map<std::uint64_t, WorkerBook> workers_;
+  WorkerMap workers_;
   /// Incremental candidate index over workers_ (see worker_index.hpp);
   /// updated on every idle/busy transition, replacing per-decision scans.
   WorkerIndex index_;

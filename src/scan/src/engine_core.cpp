@@ -961,7 +961,7 @@ void EngineCore::ScheduleIdleRelease(std::uint64_t worker_key) {
                     if (it->second.busy || it->second.idle_epoch != epoch) {
                       return;
                     }
-                    ReleaseIdle(worker_key, Now());
+                    ReleaseIdle(it, Now());
                     // Freed capacity may unblock a waiting queue
                     // (never-scale relies on this to make progress when
                     // the private tier was full).
@@ -969,14 +969,15 @@ void EngineCore::ScheduleIdleRelease(std::uint64_t worker_key) {
                   });
 }
 
-void EngineCore::ReleaseIdle(std::uint64_t worker_key, SimTime now) {
-  WorkerBook& worker = workers_.at(worker_key);
+void EngineCore::ReleaseIdle(WorkerMap::iterator it, SimTime now) {
+  const std::uint64_t worker_key = it->first;
+  const WorkerBook& worker = it->second;
   index_.RemoveIdle(IdleEntryFor(worker));
   RecordWorkerUtilization(worker, now);
   const Status released = cloud_.Release(worker.id, now);
   assert(released.ok());
   (void)released;
-  workers_.erase(worker_key);
+  workers_.erase(it);
   ++metrics_.releases;
   if (obs::TraceEnabled()) {
     obs::TraceEmit(obs::EventKind::kWorkerRelease, now.value(), worker_key, 0);
@@ -1009,8 +1010,9 @@ bool EngineCore::TryFreePrivateCapacity(int needed_cores) {
   const SimTime now = Now();
   for (const std::uint64_t key : victims) {
     if (available >= static_cast<std::size_t>(needed_cores)) break;
-    const int cores = workers_.at(key).cores;
-    ReleaseIdle(key, now);
+    const auto it = workers_.find(key);
+    const int cores = it->second.cores;
+    ReleaseIdle(it, now);
     available += static_cast<std::size_t>(cores);
   }
   return available >= static_cast<std::size_t>(needed_cores);
