@@ -19,7 +19,7 @@ using namespace scan;
 using namespace scan::core;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"reps", "duration", "interval"});
   const auto obs_session = bench::MakeObsSession(flags);
   const int reps = flags.GetInt("reps", 5);
   const double duration = flags.GetDouble("duration", 3000.0);

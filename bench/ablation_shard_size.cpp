@@ -76,7 +76,7 @@ ShardOutcome EvaluateShardSize(const gatk::PipelineModel& model, double job_gb,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"job-gb"});
   const auto obs_session = bench::MakeObsSession(flags);
   const double job_gb = flags.GetDouble("job-gb", 40.0);
   const double price = 5.0;  // private tier

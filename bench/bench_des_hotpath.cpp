@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
   using namespace scan;
   using namespace scan::bench;
 
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"events", "pending", "reps"});
   const auto obs = MakeObsSession(flags);
   const auto events =
       static_cast<std::uint64_t>(flags.GetDouble("events", 1'000'000));

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   using namespace scan;
   using namespace scan::bench;
 
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"profiles", "reps"});
   const auto obs = MakeObsSession(flags);
   const auto profiles =
       static_cast<std::size_t>(flags.GetDouble("profiles", 1'250'000));

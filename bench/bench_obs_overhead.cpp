@@ -66,7 +66,7 @@ double TimedRun(const core::SimulationConfig& config, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"runs", "duration"});
   const int runs = flags.GetInt("runs", 9);
 
   core::SimulationConfig config;

@@ -43,7 +43,8 @@ Row RunOnce(core::SimulationConfig config, RuntimeOptions options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {"duration", "wall-duration", "ms-per-tu"});
   const auto obs_session = bench::MakeObsSession(flags);
   const double virtual_tu = flags.GetDouble("duration", 2000.0);
   const double wall_tu = flags.GetDouble("wall-duration", 150.0);

@@ -8,7 +8,7 @@
 // Script per iteration: dispatch (exact-idle pick, falling back to the
 // reconfiguration scan) or complete the earliest-finishing busy worker,
 // biased to keep the table about half busy; every 8th iteration also asks
-// for the next worker-free time (the bandit wake hint).
+// for the next worker-free time (the predictive hire-or-wait delay).
 //
 // Each leg runs --reps times (after one untimed warm-up) and reports its
 // best repetition, the standard guard against scheduler/thermal noise.
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   using namespace scan;
   using namespace scan::bench;
 
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"ops", "workers", "reps"});
   const auto obs = MakeObsSession(flags);
   const auto ops = static_cast<std::uint64_t>(flags.GetDouble("ops", 400'000));
   const auto workers =

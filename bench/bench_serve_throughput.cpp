@@ -88,7 +88,7 @@ std::vector<Scenario> MakeScenarios() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"duration"});
   const auto obs_session = bench::MakeObsSession(flags);
   const double duration_tu = flags.GetDouble("duration", 2000.0);
 

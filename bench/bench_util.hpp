@@ -6,11 +6,15 @@
 // or JSON via --json=PATH (an array of {column: value} objects, numbers
 // unquoted).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,10 +26,17 @@
 
 namespace scan::bench {
 
-/// Minimal --flag=value / --flag parser.
+/// Minimal --flag=value / --flag parser. Each binary declares the flags it
+/// reads; the output flags this header reads itself (--csv, --json and the
+/// MakeObsSession set) are always known. Any other argument exits 2 with
+/// the list of known flags, so a misspelled flag never runs by default.
+/// The declared names are kept as views: pass string literals.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  Flags(int argc, char** argv, std::initializer_list<std::string_view> known)
+      : known_(known) {
+    known_.insert(known_.end(), std::begin(kSharedFlags),
+                  std::end(kSharedFlags));
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
       if (!StartsWith(arg, "--")) {
@@ -34,12 +45,21 @@ class Flags {
       }
       arg.remove_prefix(2);
       const std::size_t eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        values_.emplace_back(std::string(arg), "");
-      } else {
-        values_.emplace_back(std::string(arg.substr(0, eq)),
-                             std::string(arg.substr(eq + 1)));
+      const std::string_view name = arg.substr(0, eq);
+      if (std::find(known_.begin(), known_.end(), name) == known_.end()) {
+        std::fprintf(stderr, "unknown flag: --%.*s\nknown flags:",
+                     static_cast<int>(name.size()), name.data());
+        for (const std::string_view flag : known_) {
+          std::fprintf(stderr, " --%.*s", static_cast<int>(flag.size()),
+                       flag.data());
+        }
+        std::fprintf(stderr, "\n");
+        std::exit(2);
       }
+      values_.emplace_back(std::string(name),
+                           eq == std::string_view::npos
+                               ? std::string()
+                               : std::string(arg.substr(eq + 1)));
     }
   }
 
@@ -63,22 +83,40 @@ class Flags {
     for (const auto& [key, value] : values_) {
       if (key == name) {
         const auto parsed = ParseDouble(value);
-        if (!parsed) {
-          std::fprintf(stderr, "bad value for --%s\n",
-                       std::string(name).c_str());
-          std::exit(2);
-        }
+        if (!parsed) BadValue(name, value, "a number");
         return *parsed;
       }
     }
     return fallback;
   }
 
+  /// Rejects values that are not whole numbers within int range.
   [[nodiscard]] int GetInt(std::string_view name, int fallback) const {
-    return static_cast<int>(GetDouble(name, fallback));
+    const double value = GetDouble(name, fallback);
+    if (!(value == std::trunc(value) &&
+          value >= std::numeric_limits<int>::min() &&
+          value <= std::numeric_limits<int>::max())) {
+      BadValue(name, GetString(name, ""), "an integer");
+    }
+    return static_cast<int>(value);
   }
 
  private:
+  /// The flags Emit and MakeObsSession read.
+  static constexpr std::string_view kSharedFlags[] = {
+      "csv", "json", "trace", "metrics", "audit", "log-level",
+      "trace-capacity"};
+
+  [[noreturn]] static void BadValue(std::string_view name,
+                                    std::string_view value,
+                                    const char* expected) {
+    std::fprintf(stderr, "bad value for --%.*s: expected %s, got '%.*s'\n",
+                 static_cast<int>(name.size()), name.data(), expected,
+                 static_cast<int>(value.size()), value.data());
+    std::exit(2);
+  }
+
+  std::vector<std::string_view> known_;
   std::vector<std::pair<std::string, std::string>> values_;
 };
 

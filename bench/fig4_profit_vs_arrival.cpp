@@ -23,7 +23,7 @@ using namespace scan;
 using namespace scan::core;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"quick", "reps", "duration"});
   const auto obs_session = bench::MakeObsSession(flags);
   const bool quick = flags.Has("quick");
   const int reps = flags.GetInt("reps", quick ? 3 : 10);

@@ -55,7 +55,8 @@ std::vector<ThreadPlan> WideningPlans(int max_core_stages) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {"quick", "reps", "duration", "interval"});
   const auto obs_session = bench::MakeObsSession(flags);
   const bool quick = flags.Has("quick");
   const int reps = flags.GetInt("reps", quick ? 3 : 10);

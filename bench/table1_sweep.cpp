@@ -33,7 +33,7 @@ using namespace scan;
 using namespace scan::core;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"full", "verify", "reps", "duration"});
   const auto obs_session = bench::MakeObsSession(flags);
   const bool full = flags.Has("full");
   const bool verify = flags.Has("verify");

@@ -21,7 +21,7 @@ using namespace scan;
 using namespace scan::gatk;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"noise", "reps", "seed"});
   const auto obs_session = bench::MakeObsSession(flags);
   ProfileSpec spec;
   spec.noise_stddev = flags.GetDouble("noise", 0.02);

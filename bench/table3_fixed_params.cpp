@@ -15,7 +15,7 @@ using namespace scan;
 using namespace scan::core;
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {});
   const auto obs_session = bench::MakeObsSession(flags);
   const SimulationConfig config;
 

@@ -103,7 +103,7 @@ void PrintPipeline(const scan::pdl::CompiledPipeline& pipeline,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const scan::bench::Flags flags(argc, argv);
+  const scan::bench::Flags flags(argc, argv, {"file", "dir", "check"});
   const std::string file = flags.GetString("file", "");
   const std::string dir = flags.GetString("dir", "");
   const bool check_only = flags.Has("check");

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   std::printf("---------------------------------------------------\n");
   for (const ScalingAlgorithm scaling :
        {ScalingAlgorithm::kNeverScale, ScalingAlgorithm::kAlwaysScale,
-        ScalingAlgorithm::kPredictive, ScalingAlgorithm::kLearnedBandit}) {
+        ScalingAlgorithm::kPredictive}) {
     config.scaling = scaling;
     SchedulerOptions options;
     options.trace = trace;

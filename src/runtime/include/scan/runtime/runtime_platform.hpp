@@ -51,10 +51,7 @@ struct RuntimeOptions {
   double wall_seconds_per_tu = 0.002;
   /// Execution pool size (0 = hardware concurrency).
   std::size_t exec_threads = 0;
-  /// Completion channel bound (producer backpressure threshold).
-  std::size_t completion_capacity = 1024;
   std::optional<core::ThreadPlan> forced_plan;
-  std::optional<double> allocation_price_hint;
   /// Replay this recorded workload instead of the synthetic arrivals.
   std::optional<workload::JobTrace> trace;
   /// Streaming ingest source (not owned; must outlive the platform).

@@ -15,11 +15,13 @@ namespace scan::runtime {
 
 namespace {
 
+/// Completion channel bound (producer backpressure threshold).
+constexpr std::size_t kCompletionCapacity = 1024;
+
 /// The engine-core share of the runtime's options.
 core::SchedulerOptions CoreOptions(const RuntimeOptions& options) {
   core::SchedulerOptions core;
   core.forced_plan = options.forced_plan;
-  core.allocation_price_hint = options.allocation_price_hint;
   if (options.ingest == nullptr) core.trace = options.trace;
   core.timeline_sample_period = options.timeline_sample_period;
   core.record_schedule = options.record_schedule;
@@ -36,7 +38,7 @@ RuntimePlatform::RuntimePlatform(const core::SimulationConfig& config,
             options_.ingest),
       kernel_(options_.clock == ClockMode::kWall ? SpinKernel::Calibrate()
                                                  : SpinKernel{}),
-      completions_(options_.completion_capacity) {
+      completions_(kCompletionCapacity) {
   core_.TimeDispatchRounds();
   exec_pool_ = std::make_unique<ThreadPool>(options_.exec_threads);
 }

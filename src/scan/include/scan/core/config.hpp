@@ -25,16 +25,11 @@ enum class AllocationAlgorithm : int {
   kBestConstant,
 };
 
-/// Table I: "Horizontal scaling algorithm". kLearnedBandit is this
-/// reproduction's implementation of the paper's stated future work
-/// ("we plan to adopt learning algorithms to guide the Scheduler"): an
-/// epsilon-greedy bandit that re-selects among the three base policies
-/// every epoch based on the realized profit rate.
+/// Table I: "Horizontal scaling algorithm".
 enum class ScalingAlgorithm : int {
   kAlwaysScale,
   kNeverScale,
   kPredictive,
-  kLearnedBandit,
 };
 
 [[nodiscard]] const char* AllocationAlgorithmName(AllocationAlgorithm a);
@@ -87,12 +82,6 @@ struct SimulationConfig {
   /// (0.5 TU at 1 TU = 1 minute) whenever CELAR must shut a worker down,
   /// adjust its VCPUs, and restart it. Swept by the boot-penalty ablation.
   SimTime boot_penalty{0.5};
-  /// Adaptive replanning interval (completions) for kLongTermAdaptive.
-  std::size_t adaptive_replan_every = 200;
-  /// kLearnedBandit: epoch length between policy re-selections, and the
-  /// exploration probability.
-  SimTime bandit_epoch{50.0};
-  double bandit_epsilon = 0.1;
   /// Failure injection: probability per worker per TU of a crash while
   /// executing a task (0 = reliable cloud, the paper's setting). A crashed
   /// worker is lost (its cost is still billed up to the crash) and the

@@ -205,9 +205,6 @@ struct SchedulerOptions {
   /// Overrides the allocation algorithm with a fixed plan (used by the
   /// Figure 5 core-stage sweep).
   std::optional<ThreadPlan> forced_plan;
-  /// Price per core-TU assumed by the plan optimizers; defaults to the
-  /// midpoint of the private and public tier prices.
-  std::optional<double> allocation_price_hint;
   /// When positive, sample a TimelinePoint every this many TU.
   SimTime timeline_sample_period{0.0};
   /// Replay this recorded workload instead of the synthetic arrival
@@ -288,7 +285,7 @@ class EngineCore {
   EngineCore& operator=(const EngineCore&) = delete;
 
   /// Installs the inspection hooks and schedules the first arrival and the
-  /// periodic tasks (bandit epochs, timeline sampling). Call once.
+  /// periodic timeline sampling. Call once.
   void Start();
   /// Settles the cloud bill exactly at the horizon and hands over the
   /// metrics. Jobs still in flight are not counted as completed.
@@ -488,9 +485,6 @@ class EngineCore {
   /// capacity a larger queued task needs.
   bool TryFreePrivateCapacity(int needed_cores);
 
-  /// Bandit epoch boundary: settle the bill and hand the totals to the
-  /// policy's arm-selection step.
-  void BanditEpoch();
   void SampleTimeline();
 
   SimulationConfig config_;

@@ -6,16 +6,15 @@
 // The policy owns everything that decides *what* to run where — the
 // per-job thread plan (allocation algorithms), the predictive hire-or-wait
 // inequality (Eq. 1 delay cost vs. hire cost), the online queue-wait
-// estimator feeding Eq. 2, the learned-bandit scaling arm, and adaptive
-// replanning — but none of the execution mechanics (queues, worker books,
-// the event loop; see engine_core.hpp). Callers describe their queue
-// state through QueuedJobSnapshot spans, so the policy never touches the
-// core's containers.
+// estimator feeding Eq. 2, and adaptive replanning — but none of the
+// execution mechanics (queues, worker books, the event loop; see
+// engine_core.hpp). Callers describe their queue state through
+// QueuedJobSnapshot spans, so the policy never touches the core's
+// containers.
 //
-// Determinism contract: the policy is driven in event order by its caller;
-// equal call sequences produce bit-identical decisions (its RNG streams
-// are derived from the run seed exactly as the pre-extraction Scheduler
-// derived them).
+// Determinism contract: the policy draws no random numbers and is driven
+// in event order by its caller, so equal call sequences produce
+// bit-identical decisions.
 
 #include <cstdint>
 #include <limits>
@@ -24,8 +23,6 @@
 #include <vector>
 
 #include "scan/cloud/cloud_manager.hpp"
-#include "scan/common/rng.hpp"
-#include "scan/common/stats.hpp"
 #include "scan/core/allocation.hpp"
 #include "scan/core/config.hpp"
 #include "scan/core/estimators.hpp"
@@ -68,9 +65,7 @@ class SchedulingPolicy {
   /// config.stage_time_scale itself and exposes the scaled model.
   SchedulingPolicy(const SimulationConfig& config,
                    const gatk::PipelineModel& model,
-                   std::optional<ThreadPlan> forced_plan,
-                   std::optional<double> allocation_price_hint,
-                   std::uint64_t seed);
+                   std::optional<ThreadPlan> forced_plan);
 
   /// The scaled pipeline model every execution-time estimate uses.
   [[nodiscard]] const gatk::PipelineModel& model() const { return model_; }
@@ -101,17 +96,9 @@ class SchedulingPolicy {
       std::optional<SimTime> next_free_delay, SimTime boot_penalty,
       HireEvaluation* eval = nullptr) const;
 
-  /// Core price per TU the plan optimizers assume (for the plan audit).
+  /// Core price per TU the plan optimizers assume (for the plan audit):
+  /// the midpoint of the private and public tier prices.
   [[nodiscard]] double price_hint() const { return price_hint_; }
-
-  /// The policy governing public hiring right now: the configured one, or
-  /// the bandit's current arm under kLearnedBandit.
-  [[nodiscard]] ScalingAlgorithm EffectiveScaling() const;
-
-  /// Bandit epoch boundary: credit the finishing arm with the epoch's
-  /// profit rate (from the run's reward/cost totals so far) and
-  /// epsilon-greedily select the next arm.
-  void BanditEpoch(double total_reward_so_far, double total_cost_so_far);
 
   /// Call once per completed pipeline run. Returns true when the adaptive
   /// long-term allocator is due for a replan (the caller then computes the
@@ -133,17 +120,6 @@ class SchedulingPolicy {
   double price_hint_ = 0.0;
   ThreadPlan constant_plan_;  ///< for kLongTerm / kBestConstant / forced
   std::size_t completions_since_replan_ = 0;
-
-  // kLearnedBandit state: one arm per base policy.
-  struct BanditArm {
-    ScalingAlgorithm policy;
-    RunningStats profit_rate;
-  };
-  std::vector<BanditArm> bandit_arms_;
-  std::size_t bandit_current_arm_ = 0;
-  double bandit_epoch_start_reward_ = 0.0;
-  double bandit_epoch_start_cost_ = 0.0;
-  RandomStream bandit_rng_;
 };
 
 }  // namespace scan::core

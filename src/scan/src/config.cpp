@@ -27,8 +27,6 @@ const char* ScalingAlgorithmName(ScalingAlgorithm s) {
       return "never-scale";
     case ScalingAlgorithm::kPredictive:
       return "predictive";
-    case ScalingAlgorithm::kLearnedBandit:
-      return "learned-bandit";
   }
   return "?";
 }

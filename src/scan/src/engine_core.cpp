@@ -21,8 +21,7 @@ EngineCore::EngineCore(const SimulationConfig& config,
       options_(std::move(options)),
       driver_(driver),
       ingest_(ingest),
-      policy_(config, std::move(model), options_.forced_plan,
-              options_.allocation_price_hint, seed),
+      policy_(config, std::move(model), options_.forced_plan),
       cloud_(config.MakeCloudConfig()),
       arrivals_(config.MakeArrivalParams(), seed),
       queues_(policy_.model().stage_count()),
@@ -146,10 +145,6 @@ void EngineCore::Start() {
   if (options_.trace) trace_batches_ = options_.trace->ToBatches();
   PumpArrivals();
 
-  if (config_.scaling == ScalingAlgorithm::kLearnedBandit) {
-    sim_.SchedulePeriodic(config_.bandit_epoch,
-                          [this](sim::Simulator&) { BanditEpoch(); });
-  }
   if (options_.timeline_sample_period > SimTime{0.0}) {
     sim_.SchedulePeriodic(options_.timeline_sample_period,
                           [this](sim::Simulator&) { SampleTimeline(); });
@@ -293,7 +288,7 @@ void EngineCore::AuditHire(obs::HireChoice choice, std::size_t stage,
   rec.stage = stage;
   rec.threads = threads;
   rec.choice = choice;
-  rec.scaling = ScalingAlgorithmName(policy_.EffectiveScaling());
+  rec.scaling = ScalingAlgorithmName(config_.scaling);
   rec.queue_length = queue_length;
   rec.head_size_du = job.size.value();
   if (eval != nullptr) {
@@ -420,23 +415,20 @@ bool EngineCore::TryDispatchHead(std::size_t stage) {
   }
 
   // 4. Hire: private when it fits, public subject to the scaling policy.
-  cloud::Tier tier;
+  const cloud::Tier tier =
+      private_fits ? cloud::Tier::kPrivate : cloud::Tier::kPublic;
   HireEvaluation eval;
   const HireEvaluation* eval_ptr = nullptr;
   if (private_fits) {
-    tier = cloud::Tier::kPrivate;
     ++metrics_.private_hires;
     if (obs::MetricsEnabled()) pmetrics_.private_hires->Increment();
   } else {
-    switch (policy_.EffectiveScaling()) {
+    switch (config_.scaling) {
       case ScalingAlgorithm::kNeverScale:
         AuditHire(obs::HireChoice::kWait, stage, job, threads, queue_len,
                   nullptr);
         return false;  // wait for a worker to free up
       case ScalingAlgorithm::kAlwaysScale:
-        tier = cloud::Tier::kPublic;
-        ++metrics_.public_hires;
-        if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
         break;
       case ScalingAlgorithm::kPredictive:
         if (!PredictiveShouldHire(stage, threads, job.size, &eval)) {
@@ -445,13 +437,10 @@ bool EngineCore::TryDispatchHead(std::size_t stage) {
           return false;
         }
         eval_ptr = &eval;
-        tier = cloud::Tier::kPublic;
-        ++metrics_.public_hires;
-        if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
         break;
-      default:
-        return false;  // kLearnedBandit never reaches here
     }
+    ++metrics_.public_hires;
+    if (obs::MetricsEnabled()) pmetrics_.public_hires->Increment();
   }
 
   const auto hired = cloud_.Hire(tier, threads, now);
@@ -1044,11 +1033,6 @@ std::vector<QueuedJobSnapshot> EngineCore::SnapshotQueue(
                         std::span<const int>(job.plan)});
   }
   return snapshot;
-}
-
-void EngineCore::BanditEpoch() {
-  const cloud::CostReport bill = cloud_.CostUpTo(Now());
-  policy_.BanditEpoch(metrics_.total_reward, bill.total.value());
 }
 
 void EngineCore::SampleTimeline() {

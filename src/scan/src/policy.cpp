@@ -6,11 +6,16 @@
 
 namespace scan::core {
 
+namespace {
+
+/// kLongTermAdaptive replans after this many completed pipeline runs.
+constexpr std::size_t kAdaptiveReplanEvery = 200;
+
+}  // namespace
+
 SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
                                    const gatk::PipelineModel& model,
-                                   std::optional<ThreadPlan> forced_plan,
-                                   std::optional<double> allocation_price_hint,
-                                   std::uint64_t seed)
+                                   std::optional<ThreadPlan> forced_plan)
     : config_(config),
       // A model carrying its own calibration (compiled .pdl profiles) wins
       // over the config scalar; legacy models defer to the config, keeping
@@ -18,23 +23,15 @@ SchedulingPolicy::SchedulingPolicy(const SimulationConfig& config,
       model_(model.Scaled(model.time_scale().value_or(config.stage_time_scale))),
       reward_(config.MakeRewardParams()),
       queue_estimator_(model_.stage_count()),
-      forced_plan_(std::move(forced_plan)),
-      bandit_rng_(seed, "scaling-bandit") {
-  if (config_.scaling == ScalingAlgorithm::kLearnedBandit) {
-    bandit_arms_ = {{ScalingAlgorithm::kNeverScale, {}},
-                    {ScalingAlgorithm::kAlwaysScale, {}},
-                    {ScalingAlgorithm::kPredictive, {}}};
-    bandit_current_arm_ = 2;  // start from the paper's predictive policy
-  }
+      forced_plan_(std::move(forced_plan)) {
   if (forced_plan_ && forced_plan_->size() != model_.stage_count()) {
     throw std::invalid_argument("SchedulingPolicy: forced plan size mismatch");
   }
   // Plan optimizers assume the blended core price of the tier mix the run
-  // will see; the midpoint of the two tiers is a robust default (pure
+  // will see; the midpoint of the two tiers is a robust choice (pure
   // private prices over-widen plans, pure public prices over-narrow them).
-  const double default_price_hint =
+  price_hint_ =
       0.5 * (config_.private_cost_per_core_tu + config_.public_cost_per_core_tu);
-  price_hint_ = allocation_price_hint.value_or(default_price_hint);
   const AllocationContext ctx = MakeContext(price_hint_);
   const DataSize expected{config_.mean_job_size};
   switch (config_.allocation) {
@@ -118,52 +115,11 @@ bool SchedulingPolicy::PredictiveShouldHire(
   return delay_cost > hire_cost;
 }
 
-ScalingAlgorithm SchedulingPolicy::EffectiveScaling() const {
-  if (config_.scaling != ScalingAlgorithm::kLearnedBandit) {
-    return config_.scaling;
-  }
-  return bandit_arms_[bandit_current_arm_].policy;
-}
-
-void SchedulingPolicy::BanditEpoch(double total_reward_so_far,
-                                   double total_cost_so_far) {
-  // Credit the finishing arm with the epoch's realized profit rate.
-  const double reward_delta = total_reward_so_far - bandit_epoch_start_reward_;
-  const double cost_delta = total_cost_so_far - bandit_epoch_start_cost_;
-  const double rate =
-      (reward_delta - cost_delta) / config_.bandit_epoch.value();
-  bandit_arms_[bandit_current_arm_].profit_rate.Add(rate);
-  bandit_epoch_start_reward_ = total_reward_so_far;
-  bandit_epoch_start_cost_ = total_cost_so_far;
-
-  // Epsilon-greedy selection; untried arms first so every policy gets at
-  // least one epoch of evidence.
-  for (std::size_t i = 0; i < bandit_arms_.size(); ++i) {
-    if (bandit_arms_[i].profit_rate.empty()) {
-      bandit_current_arm_ = i;
-      return;
-    }
-  }
-  if (bandit_rng_.Uniform() < config_.bandit_epsilon) {
-    bandit_current_arm_ = bandit_rng_.UniformBelow(
-        static_cast<std::uint32_t>(bandit_arms_.size()));
-    return;
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < bandit_arms_.size(); ++i) {
-    if (bandit_arms_[i].profit_rate.mean() >
-        bandit_arms_[best].profit_rate.mean()) {
-      best = i;
-    }
-  }
-  bandit_current_arm_ = best;
-}
-
 bool SchedulingPolicy::NoteCompletion() {
   if (config_.allocation != AllocationAlgorithm::kLongTermAdaptive) {
     return false;
   }
-  if (++completions_since_replan_ < config_.adaptive_replan_every) {
+  if (++completions_since_replan_ < kAdaptiveReplanEvery) {
     return false;
   }
   completions_since_replan_ = 0;

@@ -50,17 +50,6 @@ struct ServeOptions {
   /// Global in-flight cap across all tenants (backpressure: releases stop
   /// and jobs wait in tenant queues until outcomes retire capacity).
   std::size_t global_max_in_flight = 512;
-  /// DRR quantum in worker-TU credited per visit (scaled by the tenant's
-  /// weight). 0 = auto: the predicted cost of a mean-size job.
-  double drr_quantum_tu = 0.0;
-  /// Batched hire-vs-wait pricing activates once global in-flight reaches
-  /// this fraction of global_max_in_flight; below it the platform is
-  /// lightly loaded and releases are free.
-  double pricing_onset = 0.5;
-  /// Delay horizon the batched evaluation prices (how long a held queue
-  /// would plausibly wait for capacity). 0 = auto: the predicted
-  /// execution time of a mean-size job.
-  SimTime hold_probe{0.0};
 };
 
 /// ServeFrontend: the IngestSource a RuntimePlatform pulls tenant work
@@ -215,7 +204,12 @@ class ServeFrontend final : public runtime::IngestSource {
   /// Whether the tenant at drr_cursor_ has received its quantum for the
   /// current (possibly capacity-split) visit.
   bool drr_credited_ = false;
+  /// DRR quantum in worker-TU credited per visit (scaled by the tenant's
+  /// weight): the predicted cost of a mean-size job.
   double quantum_tu_ = 0.0;
+  /// Delay horizon the batched evaluation prices (how long a held queue
+  /// would plausibly wait): the predicted execution time of a mean-size
+  /// job.
   SimTime hold_probe_{0.0};
   std::size_t pricing_onset_count_ = 0;
   std::uint64_t next_platform_id_ = 1;

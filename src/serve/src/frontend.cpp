@@ -14,6 +14,11 @@ namespace scan::serve {
 
 namespace {
 
+/// Batched hire-vs-wait pricing activates once global in-flight reaches
+/// this fraction of ServeOptions::global_max_in_flight; below it the
+/// platform is lightly loaded and releases are free.
+constexpr double kPricingOnset = 0.5;
+
 /// FNV-style ledger mixing (bit patterns for doubles, as in testkit).
 std::uint64_t MixU64(std::uint64_t h, std::uint64_t v) {
   constexpr std::uint64_t kPrime = 1099511628211ULL;
@@ -35,8 +40,7 @@ ServeFrontend::ServeFrontend(const core::SimulationConfig& config,
                              std::vector<TenantSpec> tenants,
                              std::uint64_t seed, ServeOptions options)
     : config_(config),
-      policy_(config, model, std::nullopt, std::nullopt,
-              MixSeed(seed, Fnv1a64("serve-frontend"))),
+      policy_(config, model, std::nullopt),
       options_(options),
       specs_(std::move(tenants)) {
   if (specs_.empty()) {
@@ -63,8 +67,9 @@ ServeFrontend::ServeFrontend(const core::SimulationConfig& config,
     tenants_.push_back(std::move(state));
   }
 
-  // Auto-calibrate the DRR quantum and pricing probe from a mean-size
-  // job under the policy's own plan, so defaults track the workload.
+  // Calibrate the DRR quantum (its worker-TU cost) and the pricing probe
+  // (its execution time) from a mean-size job under the policy's own
+  // plan, so both track the workload.
   const DataSize mean_size{config.MakeArrivalParams().mean_job_size};
   const core::ThreadPlan plan = policy_.PlanFor(mean_size);
   const gatk::PipelineModel& scaled = policy_.model();
@@ -75,14 +80,10 @@ ServeFrontend::ServeFrontend(const core::SimulationConfig& config,
     mean_cost += static_cast<double>(plan[s]) * t;
     mean_exec += t;
   }
-  quantum_tu_ = options_.drr_quantum_tu > 0.0 ? options_.drr_quantum_tu
-                                              : std::max(mean_cost, 1e-9);
-  hold_probe_ = options_.hold_probe > SimTime{0.0}
-                    ? options_.hold_probe
-                    : SimTime{std::max(mean_exec, 1e-9)};
+  quantum_tu_ = std::max(mean_cost, 1e-9);
+  hold_probe_ = SimTime{std::max(mean_exec, 1e-9)};
   pricing_onset_count_ = static_cast<std::size_t>(std::ceil(
-      options_.pricing_onset *
-      static_cast<double>(options_.global_max_in_flight)));
+      kPricingOnset * static_cast<double>(options_.global_max_in_flight)));
 }
 
 void ServeFrontend::SubmitAt(SimTime when, std::uint64_t tenant_id,

@@ -294,7 +294,6 @@ ParityResult CheckSimRuntimeParity(const core::SimulationConfig& config,
 
   core::SchedulerOptions sim_options;
   sim_options.forced_plan = runtime_options.forced_plan;
-  sim_options.allocation_price_hint = runtime_options.allocation_price_hint;
   sim_options.trace = runtime_options.trace;
   sim_options.timeline_sample_period = runtime_options.timeline_sample_period;
   sim_options.record_schedule = true;

@@ -22,7 +22,7 @@ core::SimulationConfig DrawScenario(std::uint64_t seed,
   // Table I axes.
   config.allocation = static_cast<core::AllocationAlgorithm>(
       rng.UniformBelow(4));
-  config.scaling = static_cast<core::ScalingAlgorithm>(rng.UniformBelow(4));
+  config.scaling = static_cast<core::ScalingAlgorithm>(rng.UniformBelow(3));
   config.mean_interarrival_tu = rng.Uniform(2.0, 3.0);
   config.reward_scheme =
       static_cast<workload::RewardScheme>(rng.UniformBelow(2));
@@ -42,7 +42,6 @@ core::SimulationConfig DrawScenario(std::uint64_t seed,
   config.idle_release_timeout = SimTime{rng.Uniform(0.5, 3.0)};
   config.mean_job_size = rng.Uniform(3.0, 7.0);
   config.mean_jobs_per_arrival = rng.Uniform(1.0, 5.0);
-  config.bandit_epoch = SimTime{rng.Uniform(20.0, 80.0)};
 
   // Fault-recovery axes (opt-in; appended after every legacy draw so the
   // pre-fault corpus reproduces unchanged when the flag is off). Each knob

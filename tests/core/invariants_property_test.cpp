@@ -81,8 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(
         testing::Values(ScalingAlgorithm::kNeverScale,
                         ScalingAlgorithm::kAlwaysScale,
-                        ScalingAlgorithm::kPredictive,
-                        ScalingAlgorithm::kLearnedBandit),
+                        ScalingAlgorithm::kPredictive),
         testing::Values(AllocationAlgorithm::kGreedy,
                         AllocationAlgorithm::kBestConstant),
         testing::Values(2.0, 3.0), testing::Values(0, 1)));
@@ -162,8 +161,7 @@ TEST_P(DeterminismProperty, TwoRunsAgreeExactly) {
 INSTANTIATE_TEST_SUITE_P(Policies, DeterminismProperty,
                          testing::Values(ScalingAlgorithm::kNeverScale,
                                          ScalingAlgorithm::kAlwaysScale,
-                                         ScalingAlgorithm::kPredictive,
-                                         ScalingAlgorithm::kLearnedBandit));
+                                         ScalingAlgorithm::kPredictive));
 
 }  // namespace
 }  // namespace scan::core

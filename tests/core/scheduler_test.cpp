@@ -224,42 +224,6 @@ TEST(SchedulerTest, MetricsInternallyConsistent) {
   EXPECT_EQ(metrics.latency.count(), metrics.jobs_completed);
 }
 
-TEST(SchedulerTest, LearnedBanditRunsAndHiresSelectively) {
-  SimulationConfig config = TestConfig();
-  config.duration = SimTime{1'000.0};
-  config.scaling = ScalingAlgorithm::kLearnedBandit;
-  config.mean_interarrival_tu = 2.0;
-  const RunMetrics metrics = RunScheduler(config);
-  EXPECT_GT(metrics.jobs_completed, 100u);
-  // The bandit explores always-scale/predictive arms, so some public
-  // hiring happens under heavy load.
-  EXPECT_GT(metrics.public_hires, 0u);
-}
-
-TEST(SchedulerTest, LearnedBanditIsDeterministicPerSeed) {
-  SimulationConfig config = TestConfig();
-  config.scaling = ScalingAlgorithm::kLearnedBandit;
-  Scheduler a(config, gatk::PipelineModel::PaperGatk(), config.SeedFor(0));
-  Scheduler b(config, gatk::PipelineModel::PaperGatk(), config.SeedFor(0));
-  const RunMetrics ma = a.Run();
-  const RunMetrics mb = b.Run();
-  EXPECT_DOUBLE_EQ(ma.total_reward, mb.total_reward);
-  EXPECT_DOUBLE_EQ(ma.total_cost, mb.total_cost);
-}
-
-TEST(SchedulerTest, LearnedBanditAvoidsNeverScaleCollapseUnderOverload) {
-  SimulationConfig config = TestConfig();
-  config.duration = SimTime{2'000.0};
-  config.mean_interarrival_tu = 2.0;
-  config.scaling = ScalingAlgorithm::kNeverScale;
-  const RunMetrics never = RunScheduler(config);
-  config.scaling = ScalingAlgorithm::kLearnedBandit;
-  const RunMetrics bandit = RunScheduler(config);
-  // The bandit learns to hire public capacity, so it must end far above
-  // the collapsing never-scale baseline.
-  EXPECT_GT(bandit.profit_per_run(), never.profit_per_run());
-}
-
 TEST(SchedulerTest, TraceReplayUsesExactlyTheTraceJobs) {
   SimulationConfig config = TestConfig();
   workload::JobTrace trace;
@@ -298,7 +262,7 @@ TEST(SchedulerTest, TraceBatchesBeyondHorizonIgnored) {
 
 TEST(SchedulerTest, SameTraceSamePolicyIsIdenticalAcrossSeeds) {
   // With a trace, the only randomness left is the (unused) generator, so
-  // different seeds must give identical results for non-bandit policies.
+  // different seeds must give identical results.
   SimulationConfig config = TestConfig();
   workload::ArrivalGenerator generator(config.MakeArrivalParams(), 99);
   const workload::JobTrace trace =

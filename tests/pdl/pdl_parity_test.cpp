@@ -104,10 +104,10 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedCase{"BestConstantPredictive",
                    AllocationAlgorithm::kBestConstant,
                    ScalingAlgorithm::kPredictive, 0xA43},
-        PinnedCase{"BestConstantBandit", AllocationAlgorithm::kBestConstant,
-                   ScalingAlgorithm::kLearnedBandit, 0xA51},
-        PinnedCase{"AdaptiveBandit", AllocationAlgorithm::kLongTermAdaptive,
-                   ScalingAlgorithm::kLearnedBandit, 0xA52},
+        PinnedCase{"LongTermNever", AllocationAlgorithm::kLongTerm,
+                   ScalingAlgorithm::kNeverScale, 0xA51},
+        PinnedCase{"AdaptiveAlways", AllocationAlgorithm::kLongTermAdaptive,
+                   ScalingAlgorithm::kAlwaysScale, 0xA52},
         PinnedCase{"PredictiveWithFailures",
                    AllocationAlgorithm::kBestConstant,
                    ScalingAlgorithm::kPredictive, 0xA61, 0.02},

@@ -92,10 +92,10 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{"BestConstantPredictive",
                    AllocationAlgorithm::kBestConstant,
                    ScalingAlgorithm::kPredictive, 0xA43},
-        ParityCase{"BestConstantBandit", AllocationAlgorithm::kBestConstant,
-                   ScalingAlgorithm::kLearnedBandit, 0xA51},
-        ParityCase{"AdaptiveBandit", AllocationAlgorithm::kLongTermAdaptive,
-                   ScalingAlgorithm::kLearnedBandit, 0xA52},
+        ParityCase{"LongTermNever", AllocationAlgorithm::kLongTerm,
+                   ScalingAlgorithm::kNeverScale, 0xA51},
+        ParityCase{"AdaptiveAlways", AllocationAlgorithm::kLongTermAdaptive,
+                   ScalingAlgorithm::kAlwaysScale, 0xA52},
         ParityCase{"PredictiveWithFailures",
                    AllocationAlgorithm::kBestConstant,
                    ScalingAlgorithm::kPredictive, 0xA61, 0.02},

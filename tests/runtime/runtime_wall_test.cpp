@@ -70,12 +70,11 @@ TEST(RuntimeWallClock, SurvivesFailureInjection) {
   EXPECT_EQ(report.metrics.task_retries, report.metrics.worker_failures);
 }
 
-TEST(RuntimeWallClock, BanditScalingServes) {
+TEST(RuntimeWallClock, PredictiveScalingServes) {
   core::SimulationConfig config = WallConfig(120.0);
-  config.scaling = core::ScalingAlgorithm::kLearnedBandit;
-  config.bandit_epoch = SimTime{25.0};
+  config.scaling = core::ScalingAlgorithm::kPredictive;
   RuntimeOptions options = WallOptions();
-  options.forced_plan.reset();  // let the bandit pick plans for real
+  options.forced_plan.reset();  // let the policy pick plans for real
   RuntimePlatform platform(config, gatk::PipelineModel::PaperGatk(), 0x57EE3,
                            options);
   const RuntimeReport report = platform.Serve();

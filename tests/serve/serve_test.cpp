@@ -84,8 +84,7 @@ TEST(ServeFrontendTest, BatchedPricingAmortizesAcrossBurst) {
   tenants[0].drive_synthetic = false;
 
   ServeOptions options;
-  options.global_max_in_flight = 32;
-  options.pricing_onset = 0.5;  // price once in-flight reaches 16
+  options.global_max_in_flight = 32;  // pricing starts at 16 in flight
 
   ServeFrontend frontend(config, model, tenants, 7, options);
   for (int i = 0; i < 50; ++i) {
@@ -157,7 +156,6 @@ TEST(ServeTest, WeightedFairShareUnderPersistentOverload) {
 
   ServeOptions options;
   options.global_max_in_flight = 12;  // both stay backlogged throughout
-  options.pricing_onset = 2.0;        // disable pricing: isolate DRR
 
   const ServeReport report =
       RunMultiTenantServe(config, tenants, /*seed=*/3, options);

@@ -41,8 +41,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(
         testing::Values(core::ScalingAlgorithm::kAlwaysScale,
                         core::ScalingAlgorithm::kNeverScale,
-                        core::ScalingAlgorithm::kPredictive,
-                        core::ScalingAlgorithm::kLearnedBandit),
+                        core::ScalingAlgorithm::kPredictive),
         testing::Values(core::AllocationAlgorithm::kGreedy,
                         core::AllocationAlgorithm::kLongTerm,
                         core::AllocationAlgorithm::kLongTermAdaptive,
