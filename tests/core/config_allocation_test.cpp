@@ -63,6 +63,15 @@ TEST(ConfigTest, Table1GridHasPaperCardinality) {
   EXPECT_EQ(configs.size(), 4u * 3u * 11u * 2u * 4u);
 }
 
+TEST(ConfigTest, ScalingAlgorithmsAreThePapersThree) {
+  EXPECT_STREQ(ScalingAlgorithmName(ScalingAlgorithm::kAlwaysScale),
+               "always-scale");
+  EXPECT_STREQ(ScalingAlgorithmName(ScalingAlgorithm::kNeverScale),
+               "never-scale");
+  EXPECT_STREQ(ScalingAlgorithmName(ScalingAlgorithm::kPredictive),
+               "predictive");
+}
+
 TEST(QueueTimeEstimatorTest, StartsAtZeroThenTracks) {
   QueueTimeEstimator est(3);
   EXPECT_DOUBLE_EQ(est.Estimate(0).value(), 0.0);
