@@ -199,10 +199,8 @@ int main(int argc, char** argv) {
 
   const Flags flags(argc, argv, {"events", "pending", "reps"});
   const auto obs = MakeObsSession(flags);
-  const auto events =
-      static_cast<std::uint64_t>(flags.GetDouble("events", 1'000'000));
-  const auto pending =
-      static_cast<std::uint64_t>(flags.GetDouble("pending", 10'000));
+  const auto events = flags.GetCount("events", 1'000'000);
+  const auto pending = flags.GetCount("pending", 10'000);
 
   const std::vector<ScenarioSpec> scenarios = {
       {"des_10kworkers_1mjobs", Increments::kStageLattice, false},

@@ -1,15 +1,16 @@
-// KB serving hot path: the frozen dictionary-encoded index vs the legacy
-// hash-map TripleStore on a bulk-loaded profile graph (DESIGN.md §13).
-// Both legs answer the identical seeded query script and must agree on a
+// KB serving hot path: the KB store's frozen base vs the testkit reference
+// store (never-compacted SPO/POS/OSP hash indexes, scan/testkit/
+// kb_reference.hpp) on a bulk-loaded profile graph (DESIGN.md §13). Both
+// legs answer the identical seeded query script and must agree on a
 // result checksum, so every speedup is measured on provably identical
 // answers.
 //
-// The default instance is the ISSUE target: --profiles=1250000 stages
-// ~10M triples (8 per profile on average) through AddProfilesBulk, then
-// Freeze() builds the serving index once. Literal values are quantized
-// onto small lattices (64 sizes, 64 etimes, 4 thread counts) like real
-// profile corpora, which is what makes the POS postings long and
-// compressible.
+// The default instance: --profiles=1250000 stages ~10M triples (8 per
+// profile on average) through AddProfilesBulk, which builds the frozen
+// base; the reference store mirrors it, term ids included. Literal values
+// are quantized onto small lattices (64 sizes, 64 etimes, 4 thread counts)
+// like real profile corpora, which is what makes the POS postings long
+// and compressible.
 //
 // Scenarios (ops auto-scale down on small instances):
 //   objects_lookup — Objects(s, p): the broker's per-candidate attribute
@@ -22,7 +23,8 @@
 //   instances_scan — InstancesOf(Application) over every profile. Legacy
 //                    copies a million-id vector per call; frozen returns
 //                    a span into the type index.
-//   advise_query   — full AdviseShardSize (SPARQL-path vs frozen-native);
+//   advise_query   — full AdviseShardSize (the broker's SPARQL text on the
+//                    reference engine vs the KB's streaming ranker);
 //                    answers must be bit-identical, not just checksummed.
 //
 // Each leg runs --reps times after one untimed warm-up and reports its
@@ -48,6 +50,7 @@
 #include "scan/kb/frozen_index.hpp"
 #include "scan/kb/knowledge_base.hpp"
 #include "scan/kb/ontology.hpp"
+#include "scan/testkit/kb_reference.hpp"
 
 namespace scan::bench {
 namespace {
@@ -57,7 +60,7 @@ using kb::FrozenIndex;
 using kb::Index;
 using kb::KnowledgeBase;
 using kb::TermId;
-using kb::TripleStore;
+using testkit::ReferenceStore;
 
 constexpr std::size_t kBatchOps = 1000;  // median granularity
 
@@ -101,8 +104,8 @@ LegResult TimeOps(std::uint64_t ops, Op&& op) {
 }
 
 struct Workload {
-  KnowledgeBase kb;                 // frozen after load
-  KnowledgeBase legacy_kb;          // identical content, never frozen
+  KnowledgeBase kb;                 // its store's base holds every triple
+  ReferenceStore reference;         // identical content and ids
   std::vector<TermId> individuals;  // profile subjects
   std::vector<TermId> attr_preds;   // size/etime/threads/steps
   std::vector<TermId> sparse_preds; // cpu/ram (half the profiles)
@@ -137,12 +140,10 @@ Workload BuildWorkload(std::size_t profiles) {
     batch.push_back(std::move(p));
   }
 
-  // Both KBs bulk-load (per-triple Add would hit the quadratic posting-
-  // insert path at millions of profiles); only w.kb is ever frozen, so
-  // legacy_kb keeps serving through the hash-map store. Identical staging
-  // order means identical term ids on both sides.
+  // The bulk load builds the frozen base in one compaction; the mirror
+  // copies the term table, so ids agree on both sides.
   w.individuals = w.kb.AddProfilesBulk(batch);
-  w.legacy_kb.AddProfilesBulk(batch);
+  w.reference = ReferenceStore::Mirror(w.kb.store());
 
   const auto& terms = w.kb.store().terms();
   const auto id = [&](const kb::Term& t) { return *terms.Lookup(t); };
@@ -180,29 +181,24 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv, {"profiles", "reps"});
   const auto obs = MakeObsSession(flags);
   const auto profiles =
-      static_cast<std::size_t>(flags.GetDouble("profiles", 1'250'000));
+      static_cast<std::size_t>(flags.GetCount("profiles", 1'250'000));
   const int reps = flags.GetInt("reps", 3);
 
   std::fprintf(stderr, "building workload: %zu profiles...\n", profiles);
   Workload w = BuildWorkload(profiles);
   const std::size_t triples = w.kb.store().size();
-  std::fprintf(stderr, "staged %zu triples; freezing...\n", triples);
-  const auto freeze_start = std::chrono::steady_clock::now();
   const FrozenIndex& frozen = w.kb.Freeze();
-  const double freeze_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - freeze_start)
-                              .count();
   std::fprintf(stderr,
-               "frozen in %.1fs: %zu charsets, %.1f MB compressed postings "
+               "staged %zu triples: %zu charsets, %.1f MB compressed postings "
                "(%.2f bytes/value)\n",
-               freeze_s, frozen.stats().characteristic_sets,
+               triples, frozen.stats().characteristic_sets,
                static_cast<double>(frozen.stats().compressed_postings_bytes) /
                    1e6,
                static_cast<double>(frozen.stats().compressed_postings_bytes) /
                    static_cast<double>(
                        std::max<std::size_t>(1,
                                              frozen.stats().raw_posting_values)));
-  const TripleStore& store = w.legacy_kb.store();
+  const ReferenceStore& store = w.reference;
 
   // Pre-drawn query scripts so both legs replay identical ops.
   RandomStream rng(7, "kb-hotpath/queries");
@@ -316,8 +312,8 @@ int main(int argc, char** argv) {
        [&] {
          return TimeOps(advise_ops, [&](std::uint64_t i) {
            const auto& [app, bounds] = advises[i];
-           return HashAdvice(
-               w.legacy_kb.AdviseShardSize(app, bounds.first, bounds.second));
+           return HashAdvice(testkit::ReferenceAdviseShardSize(
+               store, app, bounds.first, bounds.second));
          });
        },
        [&] {

@@ -244,9 +244,8 @@ int main(int argc, char** argv) {
 
   const Flags flags(argc, argv, {"ops", "workers", "reps"});
   const auto obs = MakeObsSession(flags);
-  const auto ops = static_cast<std::uint64_t>(flags.GetDouble("ops", 400'000));
-  const auto workers =
-      static_cast<std::uint64_t>(flags.GetDouble("workers", 10'000));
+  const auto ops = flags.GetCount("ops", 400'000);
+  const auto workers = flags.GetCount("workers", 10'000);
 
   const std::vector<std::uint64_t> scales = {1'000, workers};
   CsvTable table({"scenario", "workers", "ops", "legacy_dps", "indexed_dps",

@@ -7,7 +7,9 @@
 // unquoted).
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -99,6 +101,25 @@ class Flags {
       BadValue(name, GetString(name, ""), "an integer");
     }
     return static_cast<int>(value);
+  }
+
+  /// A count: rejects values that are not finite, non-negative whole
+  /// numbers within std::uint64_t range. Digits parse exactly; other
+  /// numeric spellings (1e6) go through GetDouble.
+  [[nodiscard]] std::uint64_t GetCount(std::string_view name,
+                                       std::uint64_t fallback) const {
+    if (!Has(name)) return fallback;
+    const std::string text = GetString(name, "");
+    std::uint64_t count = 0;
+    const char* end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, count);
+    if (parsed.ec == std::errc() && parsed.ptr == end) return count;
+    const double value = GetDouble(name, 0.0);
+    // 0x1p64 is 2^64, the first value past the range.
+    if (!(value == std::trunc(value) && value >= 0.0 && value < 0x1p64)) {
+      BadValue(name, text, "a non-negative integer");
+    }
+    return static_cast<std::uint64_t>(value);
   }
 
  private:
@@ -204,7 +225,7 @@ inline std::string MeanStd(double mean, double stddev) {
   opts.audit_path = flags.GetString("audit", "");
   opts.log_level = flags.GetString("log-level", "");
   opts.trace_capacity =
-      static_cast<std::size_t>(flags.GetDouble("trace-capacity", 0.0));
+      static_cast<std::size_t>(flags.GetCount("trace-capacity", 0));
   return obs::ObsSession(std::move(opts));
 }
 

@@ -19,7 +19,6 @@
 
 #include "scan/common/stats.hpp"
 #include "scan/common/status.hpp"
-#include "scan/kb/frozen_index.hpp"
 #include "scan/kb/ontology.hpp"
 #include "scan/kb/sparql.hpp"
 #include "scan/kb/triple_store.hpp"
@@ -62,9 +61,9 @@ class KnowledgeBase {
   TermId AddProfile(const ApplicationProfile& profile);
 
   /// Bulk bootstrap: stages every profile's triples with one
-  /// TripleStore::AddBatch (O(n log n) where per-triple insertion into
-  /// large posting lists is quadratic). The path for loading millions of
-  /// profiles before Freeze(). Returns the individuals' term ids.
+  /// TripleStore::AddBatch, which builds the store's frozen base directly
+  /// (O(n log n)). The path for loading millions of profiles. Returns the
+  /// individuals' term ids.
   std::vector<TermId> AddProfilesBulk(
       std::span<const ApplicationProfile> profiles);
 
@@ -82,9 +81,11 @@ class KnowledgeBase {
       std::optional<int> stage = std::nullopt) const;
 
   /// Chooses a shard size for `application` with size clamped to
-  /// [min_gb, max_gb]: queries the instance store via SPARQL and picks the
-  /// profile with the lowest eTime per GB. NotFound if no profile
-  /// qualifies.
+  /// [min_gb, max_gb]: the profile with the lowest eTime per GB among the
+  /// scan:Application individuals of that application, ties broken by
+  /// (eTime, subject id, size) — the answer of the paper's ranking query
+  /// (§III-A-2) ordered by eTime, computed by one streaming pass over the
+  /// candidates. NotFound if no profile qualifies.
   [[nodiscard]] Result<ShardAdvice> AdviseShardSize(
       std::string_view application, double min_gb, double max_gb) const;
 
@@ -100,27 +101,16 @@ class KnowledgeBase {
                                         std::optional<int> stage,
                                         int threads = 1) const;
 
-  /// Raw SPARQL access (used by examples and the Data Broker). Routed to
-  /// the frozen planner-driven engine when a fresh snapshot exists, to the
-  /// legacy staging-store engine otherwise. Solution multisets are
-  /// identical either way; row order of unordered queries may differ.
+  /// Raw SPARQL access (used by examples and the Data Broker).
   [[nodiscard]] Result<ResultSet> Query(std::string_view sparql) const;
 
-  /// Builds (or rebuilds) the read-optimized serving index from the current
-  /// staging store. Advice and query entry points route to it until the
-  /// next mutation makes it stale.
+  /// Compacts the store now, folding its delta into the frozen base, and
+  /// returns the base.
   const FrozenIndex& Freeze();
 
-  /// True if a frozen snapshot exists and reflects the current store
-  /// revision.
-  [[nodiscard]] bool FrozenFresh() const {
-    return frozen_.has_value() && frozen_revision_ == store_.revision();
-  }
-
-  /// The fresh frozen snapshot, or nullptr when absent / stale.
-  [[nodiscard]] const FrozenIndex* frozen() const {
-    return FrozenFresh() ? &*frozen_ : nullptr;
-  }
+  /// True if the store's delta is empty: the frozen base holds every
+  /// triple.
+  [[nodiscard]] bool FrozenFresh() const { return store_.delta_size() == 0; }
 
   [[nodiscard]] const TripleStore& store() const { return store_; }
   [[nodiscard]] TripleStore& mutable_store() { return store_; }
@@ -136,13 +126,8 @@ class KnowledgeBase {
   TermId StageProfileTriples(const ApplicationProfile& profile,
                              const std::string& name,
                              std::vector<Triple>& out);
-  [[nodiscard]] Result<ShardAdvice> AdviseShardSizeFrozen(
-      const FrozenIndex& frozen, std::string_view application, double min_gb,
-      double max_gb) const;
 
   TripleStore store_;
-  std::optional<FrozenIndex> frozen_;
-  std::uint64_t frozen_revision_ = 0;
   std::size_t auto_name_counter_ = 0;
 };
 

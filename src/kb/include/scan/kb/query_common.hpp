@@ -1,10 +1,9 @@
 #pragma once
 
-// Internal to scan_kb: the flat solution-row representation plus the
-// FILTER-expression and result-materialization machinery shared by the two
-// query engines (the legacy pattern-at-a-time Evaluator over TripleStore,
-// kept as the differential oracle, and the planner-driven frozen executor
-// in plan.cpp). Not installed.
+// The flat solution-row representation plus the FILTER-expression and
+// result-materialization machinery shared by the KB's query engine
+// (plan.cpp) and the reference evaluator testkit keeps as its differential
+// oracle (scan/testkit/kb_reference.hpp).
 //
 // A solution row is a vector<TermId> indexed by the query's interned
 // variable ids (SelectQuery::var_names); kInvalidTermId (0) means unbound,

@@ -158,7 +158,11 @@ struct ResultSet {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Executes parsed queries against a store.
+/// Executes parsed queries against a store: the KB's one SPARQL executor.
+/// Each basic graph pattern runs in the order PlanBgp (plan.hpp) chooses
+/// from the base's statistics and scans base ∪ delta. Solution multisets
+/// follow the SPARQL semantics above; unordered queries have no defined
+/// row order.
 class QueryEngine {
  public:
   explicit QueryEngine(const TripleStore& store) : store_(store) {}

@@ -9,6 +9,7 @@
 // are integer comparisons.
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -66,6 +67,13 @@ inline constexpr TermId kInvalidTermId{0};
 
 /// Interns Terms to dense TermIds. Append-only: terms are never removed
 /// (the knowledge base only grows; see §III-A "knowledge expansion").
+///
+/// Every task log interns a fresh individual and a fresh eTime literal, so
+/// the table is the KB's largest per-profile cost. It stores each term's
+/// text once, packed into fixed-size chunks. An IRI keeps only its local
+/// name there: its namespace (up to the last '#' or '/') is stored once in
+/// a shared affix table, which also holds the literals' datatype IRIs. Ids
+/// are found through an open-addressing table of ids.
 class TermTable {
  public:
   TermTable();
@@ -77,16 +85,62 @@ class TermTable {
   [[nodiscard]] std::optional<TermId> Lookup(const Term& term) const;
 
   /// Decodes an id. Precondition: id was produced by this table.
-  [[nodiscard]] const Term& Get(TermId id) const;
+  [[nodiscard]] Term Get(TermId id) const;
 
-  [[nodiscard]] std::size_t size() const { return terms_.size() - 1; }
+  /// NumericValue(Get(id)), parsed once at interning: O(1).
+  [[nodiscard]] std::optional<double> Numeric(TermId id) const;
+
+  [[nodiscard]] std::size_t size() const { return entries_.size() - 1; }
 
  private:
-  struct TermHash {
-    std::size_t operator()(const Term& t) const;
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+
+  struct Entry {  // 16 bytes
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
+    std::uint32_t affix = 0;  // IRI namespace or literal datatype; 0 = none
+    std::uint32_t chunk : 29 = 0;
+    std::uint32_t kind : 2 = 0;     // TermKind
+    std::uint32_t numeric : 1 = 0;  // numbers_[id] holds NumericValue
   };
-  std::vector<Term> terms_;  // index 0 is a sentinel
-  std::unordered_map<Term, std::uint32_t, TermHash> ids_;
+
+  /// The stored part of an entry's text (an IRI's local name).
+  [[nodiscard]] std::string_view Stored(const Entry& entry) const;
+  /// Splits a term into its affix (namespace or datatype) and stored text.
+  [[nodiscard]] static std::pair<std::string_view, std::string_view> Split(
+      const Term& term);
+  [[nodiscard]] static std::uint64_t Hash(TermKind kind,
+                                          std::string_view affix,
+                                          std::string_view stored);
+  /// Slot holding the term's id, or the empty slot where it would go.
+  [[nodiscard]] std::size_t FindSlot(TermKind kind, std::string_view affix,
+                                     std::string_view stored) const;
+  void Rehash(std::size_t capacity);
+
+  // Deques: appending never copies what is there, so the table grows
+  // without transient doubling.
+  std::deque<Entry> entries_;      // index 0 is a sentinel
+  std::deque<double> numbers_;     // parallel to entries_
+  std::vector<std::string> chunks_;  // stored text, kChunkBytes each
+  std::vector<std::string> affixes_;  // [0] = ""
+  std::unordered_map<std::string, std::uint32_t> affix_ids_;
+  std::vector<std::uint32_t> slots_;  // open addressing; 0 = empty
+};
+
+/// One RDF statement as interned ids.
+struct Triple {
+  TermId s = kInvalidTermId;
+  TermId p = kInvalidTermId;
+  TermId o = kInvalidTermId;
+
+  friend bool operator==(const Triple&, const Triple&) = default;
+};
+
+/// A triple pattern: nullopt positions are wildcards.
+struct TriplePatternIds {
+  std::optional<TermId> s;
+  std::optional<TermId> p;
+  std::optional<TermId> o;
 };
 
 }  // namespace scan::kb

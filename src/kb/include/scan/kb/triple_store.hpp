@@ -1,11 +1,20 @@
 #pragma once
 
-// In-memory RDF triple store with SPO / POS / OSP hash indexes.
+// The SCAN knowledge base's RDF triple store, LSM style.
 //
-// This is the instance store backing the SCAN knowledge base. Query access
-// is by triple pattern (any of subject / predicate / object may be
-// wildcards); the store picks the most selective index. The SPARQL engine
-// (sparql_engine.hpp) performs joins over these pattern matches.
+// An immutable FrozenIndex base holds every triple up to the last
+// compaction; a delta of SPO / POS / OSP hash indexes holds the triples
+// added since. Every accessor answers over base ∪ delta (the two are
+// disjoint) in ascending id order, merging the base's stream with the
+// delta's sorted postings in one pass.
+//
+// Compaction drains base and delta into one sorted triple vector, releases
+// the old base and builds a new one. It runs on every AddBatch (so a bulk
+// load builds the base directly), on an Add that pushes the delta past
+// 1/kCompactDivisor of the base (and past kCompactFloor triples), and on a
+// Remove of a base triple (rare; it keeps the base free of tombstones).
+// The SPARQL engine (sparql.hpp) plans from base statistics and scans
+// through these accessors.
 
 #include <cstdint>
 #include <optional>
@@ -14,64 +23,57 @@
 #include <vector>
 
 #include "scan/common/function_ref.hpp"
+#include "scan/kb/frozen_index.hpp"
 #include "scan/kb/term.hpp"
 
 namespace scan::kb {
 
-/// One RDF statement as interned ids.
-struct Triple {
-  TermId s = kInvalidTermId;
-  TermId p = kInvalidTermId;
-  TermId o = kInvalidTermId;
-
-  friend bool operator==(const Triple&, const Triple&) = default;
-};
-
-/// A triple pattern: nullopt positions are wildcards.
-struct TriplePatternIds {
-  std::optional<TermId> s;
-  std::optional<TermId> p;
-  std::optional<TermId> o;
-};
-
 /// The triple store. Not thread-safe for concurrent mutation; concurrent
-/// reads are safe once loading is done (the SCAN platform builds the KB up
-/// front and then queries it from the broker).
+/// reads are safe between mutations.
 class TripleStore {
  public:
+  /// An Add compacts once the delta holds more than base / kCompactDivisor
+  /// triples and more than kCompactFloor. Compaction costs O(n log n) over
+  /// the whole store, so this amortizes to O(kCompactDivisor · log n) per
+  /// added triple while keeping the delta a small fraction of the base.
+  static constexpr std::size_t kCompactDivisor = 32;
+  static constexpr std::size_t kCompactFloor = 1024;
+
   TripleStore() = default;
 
   /// Interns terms through the shared table.
   [[nodiscard]] TermTable& terms() { return terms_; }
   [[nodiscard]] const TermTable& terms() const { return terms_; }
 
-  /// Adds a triple; returns false if it was already present.
+  /// Adds a triple to the delta; returns false if it was already present.
   bool Add(const Term& s, const Term& p, const Term& o);
   bool Add(Triple t);
 
-  /// Bulk insertion: appends every triple, then restores the sorted-postings
-  /// invariant with one sort+unique per touched key. O(n log n) total where
-  /// per-triple Add into large posting lists is quadratic — the path for
-  /// staging-layer loads of millions of triples before Freeze().
-  /// Returns the number of triples actually added (duplicates collapse).
+  /// Bulk insertion: merges the batch, the delta and the base into a new
+  /// base in one O(n log n) compaction. Returns the number of triples
+  /// actually added (duplicates collapse).
   std::size_t AddBatch(std::span<const Triple> triples);
 
-  /// Removes a triple; returns false if absent. (Used by knowledge
-  /// maintenance when a profile row is superseded.)
+  /// Removes a triple; returns false if absent. Removing a base triple
+  /// compacts.
   bool Remove(Triple t);
+
+  /// Folds the delta into a new base now.
+  void Compact();
 
   [[nodiscard]] bool Contains(Triple t) const;
 
-  [[nodiscard]] std::size_t size() const { return count_; }
+  /// Triples in base and delta.
+  [[nodiscard]] std::size_t size() const { return base_.size() + delta_size_; }
 
-  /// Mutation counter: bumped by every successful Add / AddBatch / Remove.
-  /// A FrozenIndex snapshot is fresh iff the revision it was built at still
-  /// matches (see KnowledgeBase::Freeze).
-  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+  /// Triples added since the last compaction.
+  [[nodiscard]] std::size_t delta_size() const { return delta_size_; }
 
-  /// Invokes `fn` for every triple matching the pattern. `fn` returning
-  /// false stops the scan early. Non-owning callable: zero allocation per
-  /// scan.
+  /// The immutable base: the planner's statistics source.
+  [[nodiscard]] const FrozenIndex& base() const { return base_; }
+
+  /// Invokes `fn` for every triple matching the pattern, in the order
+  /// FrozenIndex::Match documents. `fn` returning false stops the scan.
   void Match(const TriplePatternIds& pattern,
              FunctionRef<bool(const Triple&)> fn) const;
 
@@ -79,31 +81,44 @@ class TripleStore {
   [[nodiscard]] std::vector<Triple> MatchAll(
       const TriplePatternIds& pattern) const;
 
-  /// Objects o with (s, p, o) in the store.
-  [[nodiscard]] std::vector<TermId> Objects(TermId s, TermId p) const;
+  /// Match-count estimate for a pattern: the base's estimate plus the
+  /// delta's exact count.
+  [[nodiscard]] std::uint64_t CountEstimate(
+      const TriplePatternIds& pattern) const;
 
-  /// Subjects s with (s, p, o) in the store.
+  /// Objects o with (s, p, o), ascending; `fn` returning false stops.
+  void ObjectsVisit(TermId s, TermId p, FunctionRef<bool(TermId)> fn) const;
+
+  /// Subjects s with (s, p, o), ascending; `fn` returning false stops.
+  void SubjectsVisit(TermId p, TermId o, FunctionRef<bool(TermId)> fn) const;
+
+  /// Materializing counterparts of the visitors.
+  [[nodiscard]] std::vector<TermId> Objects(TermId s, TermId p) const;
   [[nodiscard]] std::vector<TermId> Subjects(TermId p, TermId o) const;
 
-  /// First object for (s, p, *), if any.
+  /// Smallest object for (s, p, *), if any.
   [[nodiscard]] std::optional<TermId> FirstObject(TermId s, TermId p) const;
 
-  /// All distinct subjects with rdf:type == type.
+  /// All distinct subjects with rdf:type == type, ascending.
   [[nodiscard]] std::vector<TermId> InstancesOf(TermId type) const;
 
  private:
-  // key -> postings of the remaining two positions; postings kept sorted for
-  // deterministic iteration order.
+  // key -> postings of the remaining two positions, kept sorted.
   using Postings = std::vector<std::pair<TermId, TermId>>;
+  using DeltaIndex = std::unordered_map<std::uint32_t, Postings>;
 
-  static bool InsertSorted(Postings& postings, std::pair<TermId, TermId> kv);
-  static bool EraseSorted(Postings& postings, std::pair<TermId, TermId> kv);
+  [[nodiscard]] bool DeltaContains(Triple t) const;
+  void DeltaMatch(const TriplePatternIds& pattern,
+                  FunctionRef<bool(const Triple&)> fn) const;
+  /// Rebuilds the base from base ∪ delta ∪ `extra` minus `removed`.
+  void Rebuild(std::span<const Triple> extra,
+               std::optional<Triple> removed = std::nullopt);
 
-  std::unordered_map<std::uint32_t, Postings> spo_;  // s -> (p, o)
-  std::unordered_map<std::uint32_t, Postings> pos_;  // p -> (o, s)
-  std::unordered_map<std::uint32_t, Postings> osp_;  // o -> (s, p)
-  std::size_t count_ = 0;
-  std::uint64_t revision_ = 0;
+  FrozenIndex base_;
+  DeltaIndex spo_;  // s -> (p, o)
+  DeltaIndex pos_;  // p -> (o, s)
+  DeltaIndex osp_;  // o -> (s, p)
+  std::size_t delta_size_ = 0;
   TermTable terms_;
 };
 

@@ -20,160 +20,222 @@ struct SigHash {
   }
 };
 
+bool IdLess(TermId a, TermId b) { return Index(a) < Index(b); }
+
 }  // namespace
 
-FrozenIndex FrozenIndex::Freeze(const TripleStore& store) {
+FrozenIndex FrozenIndex::Build(std::vector<Triple> triples,
+                               std::uint32_t id_limit, TermId rdf_type) {
   FrozenIndex out;
-
-  // 1. Materialize the full triple set. The wildcard Match emits sorted by
-  //    (s, p, o), which is exactly the subject-major layout order.
-  std::vector<Triple> triples;
-  triples.reserve(store.size());
-  store.Match(TriplePatternIds{}, [&](const Triple& t) {
-    triples.push_back(t);
-    return true;
-  });
-
-  const std::uint32_t id_limit =
-      static_cast<std::uint32_t>(store.terms().size()) + 1;
-  out.subject_row_.assign(id_limit, kNoRow);
-  out.pred_row_.assign(id_limit, kNoRow);
-  out.object_row_.assign(id_limit, kNoRow);
-
-  // 2. Subject-major arrays + characteristic sets in one pass.
-  std::unordered_map<std::vector<TermId>, std::uint32_t, SigHash> charset_ids;
-  std::vector<TermId> signature;
-  std::size_t i = 0;
-  while (i < triples.size()) {
-    const TermId s = triples[i].s;
-    const auto row = static_cast<std::uint32_t>(out.subjects_.size());
-    out.subject_row_[Index(s)] = row;
-    out.subjects_.push_back(s);
-    out.sub_pred_begin_.push_back(
-        static_cast<std::uint32_t>(out.sub_preds_.size()));
-    signature.clear();
-    while (i < triples.size() && triples[i].s == s) {
-      const TermId p = triples[i].p;
-      out.sub_preds_.push_back(p);
-      signature.push_back(p);
-      out.sub_obj_begin_.push_back(
-          static_cast<std::uint32_t>(out.objects_.size()));
-      while (i < triples.size() && triples[i].s == s && triples[i].p == p) {
-        out.objects_.push_back(triples[i].o);
-        ++i;
-      }
-    }
-    const auto [it, inserted] = charset_ids.try_emplace(
-        signature, static_cast<std::uint32_t>(out.charsets_.size()));
-    if (inserted) {
-      out.charsets_.push_back(CharacteristicSet{signature, 0});
-    }
-    ++out.charsets_[it->second].subject_count;
-    out.subject_charset_.push_back(it->second);
-  }
-  out.sub_pred_begin_.push_back(
-      static_cast<std::uint32_t>(out.sub_preds_.size()));
-  out.sub_obj_begin_.push_back(
-      static_cast<std::uint32_t>(out.objects_.size()));
-
-  // 3. Predicate-major: re-sort by (p, o, s) and cut runs. Subject posting
-  //    lists are delta+varbyte compressed; each predicate keeps its sorted
-  //    distinct objects for O(log) o-lookup.
-  std::vector<std::uint32_t> order(triples.size());
-  for (std::uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const Triple& ta = triples[a];
-    const Triple& tb = triples[b];
-    if (ta.p != tb.p) return Index(ta.p) < Index(tb.p);
-    if (ta.o != tb.o) return Index(ta.o) < Index(tb.o);
-    return Index(ta.s) < Index(tb.s);
-  });
-  std::vector<std::uint32_t> subject_scratch;
-  i = 0;
-  while (i < order.size()) {
-    const TermId p = triples[order[i]].p;
-    out.pred_row_[Index(p)] = static_cast<std::uint32_t>(out.preds_.size());
-    PredEntry entry;
-    entry.id = p;
-    while (i < order.size() && triples[order[i]].p == p) {
-      const TermId o = triples[order[i]].o;
-      entry.objects.push_back(o);
-      subject_scratch.clear();
-      while (i < order.size() && triples[order[i]].p == p &&
-             triples[order[i]].o == o) {
-        subject_scratch.push_back(Index(triples[order[i]].s));
-        ++entry.triple_count;
-        ++i;
-      }
-      out.stats_.raw_posting_values += subject_scratch.size();
-      entry.postings.push_back(CompressedPostings::Build(
-          subject_scratch.data(), subject_scratch.size()));
-      out.stats_.compressed_postings_bytes += entry.postings.back().byte_size();
-    }
-    out.preds_.push_back(std::move(entry));
-  }
-  // Distinct subjects per predicate: from the subject-major side.
-  for (std::uint32_t row = 0; row < out.subjects_.size(); ++row) {
-    for (std::uint32_t k = out.sub_pred_begin_[row];
-         k < out.sub_pred_begin_[row + 1]; ++k) {
-      ++out.preds_[out.pred_row_[Index(out.sub_preds_[k])]].distinct_subjects;
-    }
-  }
-
-  // 4. Object-major: re-sort by (o, s, p) and cut runs (flat arrays; the
-  //    compressed win lives in the predicate side).
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const Triple& ta = triples[a];
-    const Triple& tb = triples[b];
-    if (ta.o != tb.o) return Index(ta.o) < Index(tb.o);
-    if (ta.s != tb.s) return Index(ta.s) < Index(tb.s);
-    return Index(ta.p) < Index(tb.p);
-  });
-  out.osp_subjects_.reserve(triples.size());
-  out.osp_preds_.reserve(triples.size());
-  i = 0;
-  while (i < order.size()) {
-    const TermId o = triples[order[i]].o;
-    out.object_row_[Index(o)] =
-        static_cast<std::uint32_t>(out.object_ids_.size());
-    out.object_ids_.push_back(o);
-    out.obj_begin_.push_back(
-        static_cast<std::uint32_t>(out.osp_subjects_.size()));
-    while (i < order.size() && triples[order[i]].o == o) {
-      out.osp_subjects_.push_back(triples[order[i]].s);
-      out.osp_preds_.push_back(triples[order[i]].p);
-      ++i;
-    }
-  }
-  out.obj_begin_.push_back(static_cast<std::uint32_t>(out.osp_subjects_.size()));
-
-  // 5. Dedicated type index: uncompressed instance spans per rdf:type
-  //    object, the broker's InstancesOf hot path.
-  const auto rdf_type = store.terms().Lookup(MakeIri(std::string(kRdfType)));
-  if (rdf_type) {
-    out.rdf_type_ = *rdf_type;
-    if (const PredEntry* entry = out.Pred(*rdf_type)) {
-      for (std::size_t k = 0; k < entry->objects.size(); ++k) {
-        out.type_ids_.push_back(entry->objects[k]);
-        out.type_begin_.push_back(
-            static_cast<std::uint32_t>(out.type_instances_.size()));
-        entry->postings[k].ForEach([&](std::uint32_t s) {
-          out.type_instances_.push_back(TermId{s});
-          return true;
-        });
-      }
-      out.type_begin_.push_back(
-          static_cast<std::uint32_t>(out.type_instances_.size()));
-    }
-  }
-
-  out.dictionary_ = Dictionary::Build(store.terms());
-  out.stats_.triples = triples.size();
-  out.stats_.subjects = out.subjects_.size();
-  out.stats_.predicates = out.preds_.size();
-  out.stats_.objects = out.object_ids_.size();
-  out.stats_.characteristic_sets = out.charsets_.size();
+  out.Append(std::move(triples), id_limit, rdf_type);
   return out;
+}
+
+bool FrozenIndex::AppendsAt(TermId s) const {
+  return subjects_.empty() || Index(subjects_.back()) <= Index(s);
+}
+
+void FrozenIndex::Append(std::vector<Triple> triples, std::uint32_t id_limit,
+                         TermId rdf_type) {
+  assert(triples.empty() || AppendsAt(triples.front().s));
+  // Arrays are sized exactly before they are filled, and nothing built by
+  // an earlier call is copied whole: the base is extended on every
+  // compaction, so growth slack and transient copies would set the KB's
+  // memory high-water mark.
+  const std::size_t n = triples.size();
+
+  // 1. Subject-major: the new subjects sort after every present one, so
+  //    their rows append. Characteristic sets gain members or new sets.
+  std::size_t new_subjects = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 0 || triples[i].s != triples[i - 1].s) ++new_subjects;
+  }
+  subject_row_.resize(std::max<std::size_t>(subject_row_.size(), id_limit),
+                      kNoRow);
+  subjects_.reserve(subjects_.size() + new_subjects);
+  subject_charset_.reserve(subject_charset_.size() + new_subjects);
+  subject_begin_.reserve(subjects_.size() + new_subjects + 1);
+  if (subject_begin_.empty()) subject_begin_.push_back(0);  // end sentinel
+  std::unordered_map<std::vector<TermId>, std::uint32_t, SigHash> charset_ids;
+  for (std::uint32_t k = 0; k < charsets_.size(); ++k) {
+    charset_ids.emplace(charsets_[k].predicates, k);
+  }
+  std::vector<TermId> signature;
+  // Appends one subject's row; [first, last) is sorted by (p, o).
+  auto append_row = [&](TermId s, const Triple* first, const Triple* last) {
+    const auto run = static_cast<std::size_t>(last - first);
+    if (chunks_.empty() || chunks_.back().preds.size() + run > kChunkTriples) {
+      chunks_.emplace_back();
+      chunks_.back().preds.reserve(std::max(kChunkTriples, run));
+      chunks_.back().objects.reserve(std::max(kChunkTriples, run));
+    }
+    const auto begin = static_cast<std::uint32_t>(
+        ((chunks_.size() - 1) << kChunkShift) + chunks_.back().preds.size());
+    signature.clear();
+    for (const Triple* t = first; t != last; ++t) {
+      chunks_.back().preds.push_back(t->p);
+      chunks_.back().objects.push_back(t->o);
+      if (signature.empty() || signature.back() != t->p) {
+        signature.push_back(t->p);
+      }
+    }
+    subject_row_[Index(s)] = static_cast<std::uint32_t>(subjects_.size());
+    subjects_.push_back(s);
+    subject_begin_.back() = begin;  // the old end sentinel
+    subject_begin_.push_back(static_cast<std::uint32_t>(begin + run));
+    const auto [it, inserted] = charset_ids.try_emplace(
+        signature, static_cast<std::uint32_t>(charsets_.size()));
+    if (inserted) charsets_.push_back(CharacteristicSet{signature, 0});
+    ++charsets_[it->second].subject_count;
+    subject_charset_.push_back(it->second);
+  };
+  std::size_t i = 0;
+  if (n > 0 && !subjects_.empty() && triples[0].s == subjects_.back()) {
+    // The last subject's triples straddled the previous compaction: reopen
+    // its row (the tail of the last chunk) and merge the new triples in.
+    const TermId s = subjects_.back();
+    const Run run = RowRun(static_cast<std::uint32_t>(subjects_.size() - 1));
+    std::vector<Triple> row;
+    for (std::size_t k = 0; k < run.size; ++k) {
+      row.push_back(Triple{s, run.preds[k], run.objects[k]});
+    }
+    for (; i < n && triples[i].s == s; ++i) row.push_back(triples[i]);
+    std::inplace_merge(row.begin(), row.begin() + static_cast<long>(run.size),
+                       row.end(), [](const Triple& a, const Triple& b) {
+                         return std::pair(Index(a.p), Index(a.o)) <
+                                std::pair(Index(b.p), Index(b.o));
+                       });
+    --charsets_[subject_charset_.back()].subject_count;
+    subject_charset_.pop_back();
+    subjects_.pop_back();
+    subject_begin_.pop_back();
+    chunks_.back().preds.resize(chunks_.back().preds.size() - run.size);
+    chunks_.back().objects.resize(chunks_.back().objects.size() - run.size);
+    append_row(s, row.data(), row.data() + row.size());
+  }
+  while (i < n) {
+    std::size_t end = i;
+    while (end < n && triples[end].s == triples[i].s) ++end;
+    append_row(triples[i].s, triples.data() + i, triples.data() + end);
+    i = end;
+  }
+
+  // 2. Predicate-major: per predicate, merge every (p, o) subject list with
+  //    the new subjects for (p, o) — which all sort after the old ones.
+  //    One predicate is rebuilt and its old storage released at a time.
+  std::sort(triples.begin(), triples.end(),
+            [](const Triple& a, const Triple& b) {
+              if (a.p != b.p) return Index(a.p) < Index(b.p);
+              if (a.o != b.o) return Index(a.o) < Index(b.o);
+              return Index(a.s) < Index(b.s);
+            });
+  std::vector<PredEntry> old_preds;
+  old_preds.swap(preds_);
+  std::vector<bool> object_seen(subject_row_.size(), false);
+  stats_.objects = 0;
+  stats_.posting_lists = 0;
+  stats_.compressed_postings_bytes = 0;
+  std::size_t k = 0;
+  for (i = 0; k < old_preds.size() || i < n;) {
+    const bool old_first =
+        i == n || (k < old_preds.size() &&
+                   Index(old_preds[k].id) <= Index(triples[i].p));
+    const TermId p = old_first ? old_preds[k].id : triples[i].p;
+    PredEntry* old =
+        k < old_preds.size() && old_preds[k].id == p ? &old_preds[k++]
+                                                     : nullptr;
+    std::size_t end = i;
+    while (end < n && triples[end].p == p) ++end;
+    preds_.push_back(MergePredicate(p, old, triples.data() + i,
+                                    triples.data() + end, object_seen));
+    if (old != nullptr) *old = PredEntry();
+    i = end;
+  }
+  old_preds = {};
+  triples = {};
+  // Distinct subjects per predicate: every characteristic set holding p.
+  for (const CharacteristicSet& cs : charsets_) {
+    for (const TermId p : cs.predicates) {
+      std::lower_bound(preds_.begin(), preds_.end(), p,
+                       [](const PredEntry& e, TermId id) {
+                         return Index(e.id) < Index(id);
+                       })
+          ->distinct_subjects += cs.subject_count;
+    }
+  }
+
+  // 3. Dedicated type index: uncompressed instance spans per rdf:type
+  //    object.
+  type_ids_.clear();
+  type_begin_.clear();
+  type_instances_ = {};
+  if (const PredEntry* entry = Pred(rdf_type)) {
+    type_ids_ = entry->objects;
+    type_begin_.reserve(entry->objects.size() + 1);
+    type_instances_.reserve(entry->triple_count);
+    for (std::uint32_t list = 0; list < entry->objects.size(); ++list) {
+      type_begin_.push_back(static_cast<std::uint32_t>(type_instances_.size()));
+      entry->postings.Get(list).ForEach([&](std::uint32_t s) {
+        type_instances_.push_back(TermId{s});
+        return true;
+      });
+    }
+    type_begin_.push_back(static_cast<std::uint32_t>(type_instances_.size()));
+  }
+
+  stats_.triples += n;
+  stats_.subjects = subjects_.size();
+  stats_.predicates = preds_.size();
+  stats_.characteristic_sets = charsets_.size();
+  stats_.raw_posting_values = stats_.triples;
+}
+
+FrozenIndex::PredEntry FrozenIndex::MergePredicate(
+    TermId p, PredEntry* old, const Triple* begin, const Triple* end,
+    std::vector<bool>& object_seen) {
+  // Walks the merged (o, subjects) lists: list(o, old subjects, new run).
+  auto walk = [&](auto&& list) {
+    std::uint32_t j = 0;
+    for (const Triple* t = begin;;) {
+      const bool has_old = old != nullptr && j < old->objects.size();
+      const bool has_new = t != end;
+      if (!has_old && !has_new) return;
+      const bool from_old =
+          has_old && (!has_new || !IdLess(t->o, old->objects[j]));
+      const TermId o = from_old ? old->objects[j] : t->o;
+      const CompressedPostings old_list =
+          from_old ? old->postings.Get(j++) : CompressedPostings();
+      const Triple* run = t;
+      while (t != end && t->o == o) ++t;
+      list(o, old_list, run, t);
+    }
+  };
+  PredEntry entry;
+  entry.id = p;
+  std::size_t lists = 0;
+  walk([&](TermId, const CompressedPostings&, const Triple*, const Triple*) {
+    ++lists;
+  });
+  entry.objects.reserve(lists);
+  entry.postings.Reserve(lists);
+  std::vector<std::uint32_t> subjects;
+  walk([&](TermId o, const CompressedPostings& old_list, const Triple* run,
+           const Triple* run_end) {
+    entry.objects.push_back(o);
+    if (!object_seen[Index(o)]) {
+      object_seen[Index(o)] = true;
+      ++stats_.objects;
+    }
+    subjects.clear();
+    old_list.AppendTo(subjects);
+    for (; run != run_end; ++run) subjects.push_back(Index(run->s));
+    entry.triple_count += subjects.size();
+    (void)entry.postings.Add(subjects.data(), subjects.size());
+  });
+  entry.postings.ShrinkToFit();
+  stats_.posting_lists += lists;
+  stats_.compressed_postings_bytes += entry.postings.byte_size();
+  return entry;
 }
 
 std::uint32_t FrozenIndex::SubjectRow(TermId s) const {
@@ -182,34 +244,42 @@ std::uint32_t FrozenIndex::SubjectRow(TermId s) const {
   return subject_row_[raw];
 }
 
-const FrozenIndex::PredEntry* FrozenIndex::Pred(TermId p) const {
-  const std::uint32_t raw = Index(p);
-  if (raw >= pred_row_.size() || pred_row_[raw] == kNoRow) return nullptr;
-  return &preds_[pred_row_[raw]];
+FrozenIndex::Run FrozenIndex::RowRun(std::uint32_t row) const {
+  const std::uint32_t begin = subject_begin_[row];
+  const std::uint32_t next = subject_begin_[row + 1];
+  const Chunk& chunk = chunks_[begin >> kChunkShift];
+  const std::size_t offset = begin & (kChunkTriples - 1);
+  // A row ends where the next starts, unless the next opened a chunk.
+  const std::size_t size = (next >> kChunkShift) == (begin >> kChunkShift)
+                               ? next - begin
+                               : chunk.preds.size() - offset;
+  return Run{chunk.preds.data() + offset, chunk.objects.data() + offset, size};
 }
 
-std::span<const TermId> FrozenIndex::PredicatesOf(TermId s) const {
-  const std::uint32_t row = SubjectRow(s);
-  if (row == kNoRow) return {};
-  return {sub_preds_.data() + sub_pred_begin_[row],
-          sub_pred_begin_[row + 1] - sub_pred_begin_[row]};
+const FrozenIndex::PredEntry* FrozenIndex::Pred(TermId p) const {
+  const auto it = std::lower_bound(
+      preds_.begin(), preds_.end(), p,
+      [](const PredEntry& e, TermId id) { return Index(e.id) < Index(id); });
+  if (it == preds_.end() || it->id != p) return nullptr;
+  return &*it;
+}
+
+CompressedPostings FrozenIndex::Postings(const PredEntry& entry, TermId o) {
+  const auto it =
+      std::lower_bound(entry.objects.begin(), entry.objects.end(), o, IdLess);
+  if (it == entry.objects.end() || *it != o) return {};
+  return entry.postings.Get(
+      static_cast<std::uint32_t>(it - entry.objects.begin()));
 }
 
 std::span<const TermId> FrozenIndex::Objects(TermId s, TermId p) const {
   const std::uint32_t row = SubjectRow(s);
   if (row == kNoRow) return {};
-  const std::uint32_t pb = sub_pred_begin_[row];
-  const std::uint32_t pe = sub_pred_begin_[row + 1];
-  const TermId* first = sub_preds_.data() + pb;
-  const TermId* last = sub_preds_.data() + pe;
-  const TermId* it =
-      std::lower_bound(first, last, p, [](TermId a, TermId b) {
-        return Index(a) < Index(b);
-      });
-  if (it == last || *it != p) return {};
-  const auto slot = static_cast<std::uint32_t>(pb + (it - first));
-  return {objects_.data() + sub_obj_begin_[slot],
-          sub_obj_begin_[slot + 1] - sub_obj_begin_[slot]};
+  // The subject's predicates are sorted; p's run indexes its objects.
+  const Run run = RowRun(row);
+  const auto [lo, hi] =
+      std::equal_range(run.preds, run.preds + run.size, p, IdLess);
+  return {run.objects + (lo - run.preds), static_cast<std::size_t>(hi - lo)};
 }
 
 std::optional<TermId> FrozenIndex::FirstObject(TermId s, TermId p) const {
@@ -219,34 +289,24 @@ std::optional<TermId> FrozenIndex::FirstObject(TermId s, TermId p) const {
 }
 
 std::span<const TermId> FrozenIndex::InstancesOf(TermId type) const {
-  const auto it = std::lower_bound(
-      type_ids_.begin(), type_ids_.end(), type,
-      [](TermId a, TermId b) { return Index(a) < Index(b); });
+  const auto it =
+      std::lower_bound(type_ids_.begin(), type_ids_.end(), type, IdLess);
   if (it == type_ids_.end() || *it != type) return {};
-  const auto row = static_cast<std::uint32_t>(it - type_ids_.begin());
+  const auto row = static_cast<std::size_t>(it - type_ids_.begin());
   return {type_instances_.data() + type_begin_[row],
           type_begin_[row + 1] - type_begin_[row]};
 }
 
 bool FrozenIndex::Contains(Triple t) const {
   const auto objects = Objects(t.s, t.p);
-  return std::binary_search(objects.begin(), objects.end(), t.o,
-                            [](TermId a, TermId b) {
-                              return Index(a) < Index(b);
-                            });
+  return std::binary_search(objects.begin(), objects.end(), t.o, IdLess);
 }
 
 void FrozenIndex::SubjectsVisit(TermId p, TermId o,
                                 FunctionRef<bool(TermId)> fn) const {
   const PredEntry* entry = Pred(p);
   if (entry == nullptr) return;
-  const auto it = std::lower_bound(
-      entry->objects.begin(), entry->objects.end(), o,
-      [](TermId a, TermId b) { return Index(a) < Index(b); });
-  if (it == entry->objects.end() || *it != o) return;
-  const auto slot = static_cast<std::size_t>(it - entry->objects.begin());
-  entry->postings[slot].ForEach(
-      [&](std::uint32_t s) { return fn(TermId{s}); });
+  Postings(*entry, o).ForEach([&](std::uint32_t s) { return fn(TermId{s}); });
 }
 
 std::vector<TermId> FrozenIndex::Subjects(TermId p, TermId o) const {
@@ -261,32 +321,23 @@ std::vector<TermId> FrozenIndex::Subjects(TermId p, TermId o) const {
 
 std::size_t FrozenIndex::SubjectCount(TermId p, TermId o) const {
   const PredEntry* entry = Pred(p);
-  if (entry == nullptr) return 0;
-  const auto it = std::lower_bound(
-      entry->objects.begin(), entry->objects.end(), o,
-      [](TermId a, TermId b) { return Index(a) < Index(b); });
-  if (it == entry->objects.end() || *it != o) return 0;
-  return entry->postings[static_cast<std::size_t>(it - entry->objects.begin())]
-      .size();
+  return entry == nullptr ? 0 : Postings(*entry, o).size();
 }
 
 void FrozenIndex::Match(const TriplePatternIds& pattern,
                         FunctionRef<bool(const Triple&)> fn) const {
-  // Mirrors TripleStore::Match index choice and emission order exactly:
-  // subject index first, then predicate, then object, then full scan.
+  // Index choice: subject first, then predicate, then object, then a full
+  // scan; each emits in the order the file comment documents.
   if (pattern.s) {
     const std::uint32_t row = SubjectRow(*pattern.s);
     if (row == kNoRow) return;
-    for (std::uint32_t k = sub_pred_begin_[row]; k < sub_pred_begin_[row + 1];
-         ++k) {
-      const TermId p = sub_preds_[k];
+    const Run run = RowRun(row);
+    for (std::size_t k = 0; k < run.size; ++k) {
+      const TermId p = run.preds[k];
+      const TermId o = run.objects[k];
       if (pattern.p && !(p == *pattern.p)) continue;
-      for (std::uint32_t j = sub_obj_begin_[k]; j < sub_obj_begin_[k + 1];
-           ++j) {
-        const TermId o = objects_[j];
-        if (pattern.o && !(o == *pattern.o)) continue;
-        if (!fn(Triple{*pattern.s, p, o})) return;
-      }
+      if (pattern.o && !(o == *pattern.o)) continue;
+      if (!fn(Triple{*pattern.s, p, o})) return;
     }
     return;
   }
@@ -304,7 +355,8 @@ void FrozenIndex::Match(const TriplePatternIds& pattern,
     for (std::size_t k = 0; k < entry->objects.size(); ++k) {
       const TermId o = entry->objects[k];
       bool keep_going = true;
-      entry->postings[k].ForEach([&](std::uint32_t s) {
+      entry->postings.Get(static_cast<std::uint32_t>(k))
+          .ForEach([&](std::uint32_t s) {
         keep_going = fn(Triple{TermId{s}, *pattern.p, o});
         return keep_going;
       });
@@ -313,23 +365,30 @@ void FrozenIndex::Match(const TriplePatternIds& pattern,
     return;
   }
   if (pattern.o) {
-    const std::uint32_t raw = Index(*pattern.o);
-    if (raw >= object_row_.size() || object_row_[raw] == kNoRow) return;
-    const std::uint32_t row = object_row_[raw];
-    for (std::uint32_t k = obj_begin_[row]; k < obj_begin_[row + 1]; ++k) {
-      if (!fn(Triple{osp_subjects_[k], osp_preds_[k], *pattern.o})) return;
+    // Gather (s, p) from every predicate's posting for o, then emit in
+    // (s, p) order.
+    std::vector<Triple> hits;
+    for (const PredEntry& entry : preds_) {
+      Postings(entry, *pattern.o).ForEach([&](std::uint32_t s) {
+        hits.push_back(Triple{TermId{s}, entry.id, *pattern.o});
+        return true;
+      });
+    }
+    std::sort(hits.begin(), hits.end(), [](const Triple& a, const Triple& b) {
+      if (a.s != b.s) return Index(a.s) < Index(b.s);
+      return Index(a.p) < Index(b.p);
+    });
+    for (const Triple& t : hits) {
+      if (!fn(t)) return;
     }
     return;
   }
   // Full scan, ascending subject id (subjects_ is already sorted).
   for (std::uint32_t row = 0; row < subjects_.size(); ++row) {
     const TermId s = subjects_[row];
-    for (std::uint32_t k = sub_pred_begin_[row]; k < sub_pred_begin_[row + 1];
-         ++k) {
-      for (std::uint32_t j = sub_obj_begin_[k]; j < sub_obj_begin_[k + 1];
-           ++j) {
-        if (!fn(Triple{s, sub_preds_[k], objects_[j]})) return;
-      }
+    const Run run = RowRun(row);
+    for (std::size_t k = 0; k < run.size; ++k) {
+      if (!fn(Triple{s, run.preds[k], run.objects[k]})) return;
     }
   }
 }
@@ -354,20 +413,19 @@ std::uint64_t FrozenIndex::CountEstimate(
   if (pattern.s) {
     const std::uint32_t row = SubjectRow(*pattern.s);
     if (row == kNoRow) return 0;
-    const std::uint32_t pb = sub_pred_begin_[row];
-    const std::uint32_t pe = sub_pred_begin_[row + 1];
     // (s, ?, o): bound below by the subject's full degree.
-    return sub_obj_begin_[pe] - sub_obj_begin_[pb];
+    return RowRun(row).size;
   }
   if (pattern.p) {
     const PredEntry* entry = Pred(*pattern.p);
     return entry == nullptr ? 0 : entry->triple_count;
   }
   if (pattern.o) {
-    const std::uint32_t raw = Index(*pattern.o);
-    if (raw >= object_row_.size() || object_row_[raw] == kNoRow) return 0;
-    const std::uint32_t row = object_row_[raw];
-    return obj_begin_[row + 1] - obj_begin_[row];
+    std::uint64_t count = 0;
+    for (const PredEntry& entry : preds_) {
+      count += Postings(entry, *pattern.o).size();
+    }
+    return count;
   }
   return stats_.triples;
 }

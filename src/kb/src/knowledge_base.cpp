@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "scan/common/str.hpp"
-#include "scan/kb/plan.hpp"
 
 namespace scan::kb {
 
@@ -110,66 +109,68 @@ std::vector<TermId> KnowledgeBase::AddProfilesBulk(
 }
 
 const FrozenIndex& KnowledgeBase::Freeze() {
-  frozen_.emplace(FrozenIndex::Freeze(store_));
-  frozen_revision_ = store_.revision();
-  return *frozen_;
+  store_.Compact();
+  return store_.base();
 }
 
 std::size_t KnowledgeBase::ProfileCount(std::string_view application) const {
   return Profiles(application).size();
 }
 
+namespace {
+
+/// Local name of an individual's IRI (the part after '#').
+std::string LocalName(std::string_view iri) {
+  const std::size_t hash_pos = iri.rfind('#');
+  return std::string(hash_pos == std::string_view::npos
+                         ? iri
+                         : iri.substr(hash_pos + 1));
+}
+
+}  // namespace
+
 std::vector<ApplicationProfile> KnowledgeBase::Profiles(
     std::string_view application, std::optional<int> stage) const {
   std::vector<ApplicationProfile> out;
-  const auto app_prop = store_.terms().Lookup(PropApplication());
+  const TermTable& terms = store_.terms();
+  const auto app_prop = terms.Lookup(PropApplication());
   const auto app_value =
-      store_.terms().Lookup(MakeStringLiteral(std::string(application)));
+      terms.Lookup(MakeStringLiteral(std::string(application)));
   if (!app_prop || !app_value) return out;
 
-  // Serve from the frozen index when fresh: FirstObject becomes an O(1)
-  // span lookup instead of a hash probe + binary search, and the subject
-  // posting decodes straight off the compressed list. Both sides emit
-  // subjects and objects in ascending id order, so results are identical.
-  const FrozenIndex* fz = frozen();
-  auto first_object = [&](TermId subject, TermId pid) {
-    return fz ? fz->FirstObject(subject, pid)
-              : store_.FirstObject(subject, pid);
+  // Property ids resolve once; subjects and objects come back in ascending
+  // id order, which is insertion order for auto-named individuals.
+  auto object_of = [&](TermId subject, const std::optional<TermId>& prop) {
+    return prop ? store_.FirstObject(subject, *prop) : std::nullopt;
   };
-  auto numeric_of = [&](TermId subject, const Term& prop) -> double {
-    const auto pid = store_.terms().Lookup(prop);
-    if (!pid) return 0.0;
-    const auto obj = first_object(subject, *pid);
-    if (!obj) return 0.0;
-    return NumericValue(store_.terms().Get(*obj)).value_or(0.0);
+  auto numeric_of = [&](TermId subject, const std::optional<TermId>& prop) {
+    const auto obj = object_of(subject, prop);
+    return obj ? terms.Numeric(*obj).value_or(0.0) : 0.0;
   };
-  auto string_of = [&](TermId subject, const Term& prop) -> std::string {
-    const auto pid = store_.terms().Lookup(prop);
-    if (!pid) return {};
-    const auto obj = first_object(subject, *pid);
-    if (!obj) return {};
-    return store_.terms().Get(*obj).lexical;
-  };
+  const auto stage_prop = terms.Lookup(PropStage());
+  const auto size_prop = terms.Lookup(PropInputFileSize());
+  const auto steps_prop = terms.Lookup(PropSteps());
+  const auto cpu_prop = terms.Lookup(PropCpu());
+  const auto ram_prop = terms.Lookup(PropRam());
+  const auto etime_prop = terms.Lookup(PropETime());
+  const auto threads_prop = terms.Lookup(PropThreads());
+  const auto performance_prop = terms.Lookup(PropPerformance());
 
-  const std::vector<TermId> subjects =
-      fz ? fz->Subjects(*app_prop, *app_value)
-         : store_.Subjects(*app_prop, *app_value);
-  for (const TermId subject : subjects) {
+  for (const TermId subject : store_.Subjects(*app_prop, *app_value)) {
     ApplicationProfile profile;
-    const std::string& iri = store_.terms().Get(subject).lexical;
-    const std::size_t hash_pos = iri.rfind('#');
-    profile.individual =
-        hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
+    profile.individual = LocalName(terms.Get(subject).lexical);
     profile.application = std::string(application);
-    profile.stage = static_cast<int>(numeric_of(subject, PropStage()));
-    profile.input_file_size_gb = numeric_of(subject, PropInputFileSize());
-    profile.steps = static_cast<int>(numeric_of(subject, PropSteps()));
-    profile.cpu = static_cast<int>(numeric_of(subject, PropCpu()));
-    profile.ram_gb = numeric_of(subject, PropRam());
-    profile.etime = numeric_of(subject, PropETime());
-    const int threads = static_cast<int>(numeric_of(subject, PropThreads()));
+    profile.stage = static_cast<int>(numeric_of(subject, stage_prop));
+    profile.input_file_size_gb = numeric_of(subject, size_prop);
+    profile.steps = static_cast<int>(numeric_of(subject, steps_prop));
+    profile.cpu = static_cast<int>(numeric_of(subject, cpu_prop));
+    profile.ram_gb = numeric_of(subject, ram_prop);
+    profile.etime = numeric_of(subject, etime_prop);
+    const int threads = static_cast<int>(numeric_of(subject, threads_prop));
     profile.threads = threads > 0 ? threads : 1;
-    profile.performance = string_of(subject, PropPerformance());
+    if (const auto performance = object_of(subject, performance_prop)) {
+      profile.performance = terms.Get(*performance).lexical;
+    }
     if (stage && profile.stage != *stage) continue;
     out.push_back(std::move(profile));
   }
@@ -181,82 +182,19 @@ Result<ShardAdvice> KnowledgeBase::AdviseShardSize(
   if (min_gb < 0.0 || max_gb < min_gb) {
     return InvalidArgumentError("AdviseShardSize: bad size bounds");
   }
-  if (const FrozenIndex* fz = frozen()) {
-    return AdviseShardSizeFrozen(*fz, application, min_gb, max_gb);
-  }
-  // The broker's query, in SPARQL as the paper prescribes. OPTIONAL blocks
-  // tolerate profiles missing CPU/RAM attributes.
-  const std::string query_text =
-      QueryPrefixes() +
-      StrFormat(
-          "SELECT ?ind ?size ?etime ?cpu ?ram WHERE {\n"
-          "  ?ind a scan:Application .\n"
-          "  ?ind scan:application \"%s\" .\n"
-          "  ?ind scan:inputFileSize ?size .\n"
-          "  ?ind scan:eTime ?etime .\n"
-          "  OPTIONAL { ?ind scan:CPU ?cpu . }\n"
-          "  OPTIONAL { ?ind scan:RAM ?ram . }\n"
-          "  FILTER(?size >= %.17g && ?size <= %.17g && ?etime > 0)\n"
-          "} ORDER BY ASC(?etime)",
-          std::string(application).c_str(), min_gb, max_gb);
-
-  const QueryEngine engine(store_);
-  auto result = engine.Execute(query_text);
-  if (!result.ok()) return result.status();
-
-  const auto& rs = result.value();
-  const auto ind_col = rs.ColumnOf("ind");
-  const auto size_col = rs.ColumnOf("size");
-  const auto etime_col = rs.ColumnOf("etime");
-  const auto cpu_col = rs.ColumnOf("cpu");
-  const auto ram_col = rs.ColumnOf("ram");
-  if (!ind_col || !size_col || !etime_col) {
-    return InternalError("AdviseShardSize: projection mismatch");
-  }
-
-  ShardAdvice best;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& row : rs.rows) {
-    const auto size = NumericValue(*row[*size_col]);
-    const auto etime = NumericValue(*row[*etime_col]);
-    if (!size || !etime || *size <= 0.0) continue;
-    const double score = *etime / *size;
-    if (score < best_score) {
-      best_score = score;
-      best.shard_size_gb = *size;
-      best.time_per_gb = score;
-      const std::string& iri = row[*ind_col]->lexical;
-      const std::size_t hash_pos = iri.rfind('#');
-      best.source_individual =
-          hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
-      best.recommended_cpu =
-          (cpu_col && row[*cpu_col])
-              ? static_cast<int>(NumericValue(*row[*cpu_col]).value_or(0.0))
-              : 0;
-      best.recommended_ram_gb =
-          (ram_col && row[*ram_col])
-              ? NumericValue(*row[*ram_col]).value_or(0.0)
-              : 0.0;
-    }
-  }
-  if (best_score == std::numeric_limits<double>::infinity()) {
-    return NotFoundError("AdviseShardSize: no profile for application '" +
-                         std::string(application) + "' within bounds");
-  }
-  return best;
-}
-
-Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
-    const FrozenIndex& frozen, std::string_view application, double min_gb,
-    double max_gb) const {
-  // Reproduces the SPARQL path bit-for-bit without materializing a result
-  // set. The legacy engine sorts its solutions by (etime, subject id, size)
-  // — stable sort over the join's production order — and keeps the first
-  // row whose etime/size score is strictly minimal, so the winner is the
-  // lexicographic minimum by (score, etime, subject id, size). Candidates
-  // stream off the compressed (application, name) posting list in
-  // ascending subject order; per-candidate attribute reads are span
-  // lookups.
+  // The paper's broker asks, in SPARQL:
+  //   SELECT ?ind ?size ?etime ?cpu ?ram WHERE {
+  //     ?ind a scan:Application . ?ind scan:application "<app>" .
+  //     ?ind scan:inputFileSize ?size . ?ind scan:eTime ?etime .
+  //     OPTIONAL { ?ind scan:CPU ?cpu } OPTIONAL { ?ind scan:RAM ?ram }
+  //     FILTER(?size >= min && ?size <= max && ?etime > 0)
+  //   } ORDER BY ASC(?etime)
+  // and keeps the first row with the strictly lowest eTime / size. That
+  // winner is the lexicographic minimum by (score, etime, subject id,
+  // size), which one streaming pass finds without a result set:
+  // candidates come off the (application, name) postings in ascending
+  // subject order and each attribute read is a span lookup. The testkit
+  // oracle (scan/testkit/kb_reference.hpp) still runs the query text.
   const TermTable& terms = store_.terms();
   const auto app_prop = terms.Lookup(PropApplication());
   const auto app_value =
@@ -268,7 +206,6 @@ Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
   const auto cpu_prop = terms.Lookup(PropCpu());
   const auto ram_prop = terms.Lookup(PropRam());
 
-  ShardAdvice best;
   bool found = false;
   double best_score = 0.0;
   double best_etime = 0.0;
@@ -277,16 +214,15 @@ Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
 
   if (app_prop && app_value && rdf_type && app_class && size_prop &&
       etime_prop) {
-    frozen.SubjectsVisit(*app_prop, *app_value, [&](TermId ind) {
-      if (!frozen.Contains(Triple{ind, *rdf_type, *app_class})) return true;
-      for (const TermId size_id : frozen.Objects(ind, *size_prop)) {
-        const auto size = NumericValue(terms.Get(size_id));
+    store_.SubjectsVisit(*app_prop, *app_value, [&](TermId ind) {
+      store_.ObjectsVisit(ind, *size_prop, [&](TermId size_id) {
+        const auto size = terms.Numeric(size_id);
         if (!size || *size < min_gb || *size > max_gb || *size <= 0.0) {
-          continue;
+          return true;
         }
-        for (const TermId etime_id : frozen.Objects(ind, *etime_prop)) {
-          const auto etime = NumericValue(terms.Get(etime_id));
-          if (!etime || *etime <= 0.0) continue;
+        store_.ObjectsVisit(ind, *etime_prop, [&](TermId etime_id) {
+          const auto etime = terms.Numeric(etime_id);
+          if (!etime || *etime <= 0.0) return true;
           const double score = *etime / *size;
           const bool better =
               !found || score < best_score ||
@@ -295,14 +231,20 @@ Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
                 (*etime == best_etime &&
                  (Index(ind) < Index(best_ind) ||
                   (ind == best_ind && *size < best_size)))));
-          if (!better) continue;
-          found = true;
-          best_score = score;
-          best_etime = *etime;
-          best_size = *size;
-          best_ind = ind;
-        }
-      }
+          // The type pattern joins last: only a would-be winner pays for
+          // the membership probe.
+          if (better &&
+              store_.Contains(Triple{ind, *rdf_type, *app_class})) {
+            found = true;
+            best_score = score;
+            best_etime = *etime;
+            best_size = *size;
+            best_ind = ind;
+          }
+          return true;
+        });
+        return true;
+      });
       return true;
     });
   }
@@ -311,17 +253,15 @@ Result<ShardAdvice> KnowledgeBase::AdviseShardSizeFrozen(
     return NotFoundError("AdviseShardSize: no profile for application '" +
                          std::string(application) + "' within bounds");
   }
+  ShardAdvice best;
   best.shard_size_gb = best_size;
   best.time_per_gb = best_score;
-  const std::string& iri = terms.Get(best_ind).lexical;
-  const std::size_t hash_pos = iri.rfind('#');
-  best.source_individual =
-      hash_pos == std::string::npos ? iri : iri.substr(hash_pos + 1);
+  best.source_individual = LocalName(terms.Get(best_ind).lexical);
   auto numeric_attr = [&](const std::optional<TermId>& prop) -> double {
     if (!prop) return 0.0;
-    const auto obj = frozen.FirstObject(best_ind, *prop);
+    const auto obj = store_.FirstObject(best_ind, *prop);
     if (!obj) return 0.0;
-    return NumericValue(terms.Get(*obj)).value_or(0.0);
+    return terms.Numeric(*obj).value_or(0.0);
   };
   best.recommended_cpu = static_cast<int>(numeric_attr(cpu_prop));
   best.recommended_ram_gb = numeric_attr(ram_prop);
@@ -368,10 +308,6 @@ LinearFit KnowledgeBase::FitETimeModel(std::string_view application,
 }
 
 Result<ResultSet> KnowledgeBase::Query(std::string_view sparql) const {
-  if (const FrozenIndex* fz = frozen()) {
-    const FrozenQueryEngine engine(*fz, store_.terms());
-    return engine.Execute(sparql);
-  }
   const QueryEngine engine(store_);
   return engine.Execute(sparql);
 }

@@ -6,7 +6,7 @@
 #include <limits>
 #include <unordered_map>
 
-#include "query_common.hpp"
+#include "scan/kb/query_common.hpp"
 
 namespace scan::kb {
 
@@ -30,7 +30,7 @@ void CollectVars(const TriplePattern& tp, std::vector<bool>& bound) {
 }
 
 /// Resolves the constant positions of a pattern to ids (kInvalidTermId for
-/// constants the dictionary has never seen — such a step matches nothing).
+/// constants the term table has never seen — such a step matches nothing).
 TriplePatternIds ResolveConstants(const TriplePattern& tp,
                                   const TermTable& terms) {
   TriplePatternIds out;
@@ -57,34 +57,36 @@ std::uint64_t EstimateStep(
     const TriplePattern& tp, const TriplePatternIds& constants,
     const std::vector<bool>& bound,
     const std::unordered_map<std::uint32_t, std::vector<TermId>>& star_preds,
-    const FrozenIndex& index) {
+    const TripleStore& store) {
   if (HasImpossibleConstant(constants)) return 0;
-  std::uint64_t est = index.CountEstimate(constants);
+  const FrozenIndex& base = store.base();
+  std::uint64_t est = store.CountEstimate(constants);
 
   // Star refinement: (?s, p, ?o) where ?s already carries constant
   // predicates from chosen patterns. Characteristic sets give the exact
   // number of subjects having the whole predicate set; scale by the average
-  // object fan-out of p.
+  // object fan-out of p. The sets describe the base only, so a predicate
+  // the base has never seen keeps its plain estimate.
   const auto* s_var = std::get_if<Variable>(&tp.s);
   if (s_var != nullptr && constants.p && !constants.o &&
       std::holds_alternative<Variable>(tp.o)) {
     const auto it = star_preds.find(s_var->id);
-    if (it != star_preds.end() && !it->second.empty()) {
+    const std::uint64_t p_subjects = base.CountSubjectsWithPredicates(
+        std::span<const TermId>(&*constants.p, 1));
+    if (it != star_preds.end() && !it->second.empty() && p_subjects > 0) {
       std::vector<TermId> preds = it->second;
       preds.push_back(*constants.p);
       const std::uint64_t star_subjects =
-          index.CountSubjectsWithPredicates(preds);
-      const std::uint64_t p_subjects = index.CountSubjectsWithPredicates(
-          std::span<const TermId>(&*constants.p, 1));
+          base.CountSubjectsWithPredicates(preds);
       const std::uint64_t fan_out =
-          p_subjects == 0 ? 1 : std::max<std::uint64_t>(1, est / p_subjects);
+          std::max<std::uint64_t>(1, est / p_subjects);
       est = star_subjects * fan_out;
     }
   }
 
   // Bound variables narrow the pattern: deflate by the matched dimension's
   // distinct count (a uniformity assumption, only used for ordering).
-  const FrozenIndex::Stats& stats = index.stats();
+  const FrozenIndex::Stats& stats = base.stats();
   auto deflate = [&](std::uint64_t dim) {
     if (est > 0) est = std::max<std::uint64_t>(1, est / std::max<std::uint64_t>(1, dim));
   };
@@ -119,11 +121,10 @@ bool BindIfVar(const PatternNode& node, TermId value, Row& row) {
   return row[var->id] == value;
 }
 
-class FrozenEvaluator {
+class Evaluator {
  public:
-  FrozenEvaluator(const FrozenIndex& index, const TermTable& terms,
-                  std::size_t var_count)
-      : index_(index), terms_(terms), var_count_(var_count) {}
+  Evaluator(const TripleStore& store, std::size_t var_count)
+      : store_(store), var_count_(var_count) {}
 
   std::vector<Row> EvaluateGroup(const GroupPattern& group,
                                  std::vector<Row> seeds) const {
@@ -138,7 +139,7 @@ class FrozenEvaluator {
 
     // 1. Basic graph pattern, in planned order.
     if (!group.triples.empty() && !current.empty()) {
-      const BgpPlan plan = PlanBgp(group.triples, bound, index_, terms_);
+      const BgpPlan plan = PlanBgp(group.triples, bound, store_);
       for (const PlanStep& step : plan.steps) {
         if (current.empty()) break;
         ApplyStep(step, current);
@@ -179,7 +180,7 @@ class FrozenEvaluator {
     for (const ExprPtr& filter : group.filters) {
       std::vector<Row> kept;
       for (Row& row : current) {
-        if (detail::EvalExpr(*filter, row, terms_) == Ebv::kTrue) {
+        if (detail::EvalExpr(*filter, row, store_.terms()) == Ebv::kTrue) {
           kept.push_back(std::move(row));
         }
       }
@@ -234,7 +235,7 @@ class FrozenEvaluator {
     reg(tp.o, 2);
 
     std::vector<std::array<TermId, 3>> extensions;
-    index_.Match(step.constants, [&](const Triple& t) {
+    store_.Match(step.constants, [&](const Triple& t) {
       std::array<TermId, 3> vals{kInvalidTermId, kInvalidTermId,
                                  kInvalidTermId};
       const std::array<TermId, 3> tv{t.s, t.p, t.o};
@@ -279,7 +280,7 @@ class FrozenEvaluator {
                      });
     std::vector<Row> kept;
     std::size_t i = 0;
-    index_.SubjectsVisit(p, o, [&](TermId s) {
+    store_.SubjectsVisit(p, o, [&](TermId s) {
       while (i < rows.size() && Index(rows[i][vid]) < Index(s)) ++i;
       while (i < rows.size() && rows[i][vid] == s) {
         kept.push_back(std::move(rows[i]));
@@ -305,7 +306,7 @@ class FrozenEvaluator {
       fill(tp.s, ids.s);
       fill(tp.p, ids.p);
       fill(tp.o, ids.o);
-      index_.Match(ids, [&](const Triple& t) {
+      store_.Match(ids, [&](const Triple& t) {
         Row extended = row;
         if (!BindIfVar(tp.s, t.s, extended)) return true;
         if (!BindIfVar(tp.p, t.p, extended)) return true;
@@ -317,16 +318,14 @@ class FrozenEvaluator {
     rows = std::move(next);
   }
 
-  const FrozenIndex& index_;
-  const TermTable& terms_;
+  const TripleStore& store_;
   std::size_t var_count_;
 };
 
 }  // namespace
 
 BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
-                std::vector<bool> bound, const FrozenIndex& index,
-                const TermTable& terms) {
+                std::vector<bool> bound, const TripleStore& store) {
   BgpPlan plan;
   plan.steps.reserve(triples.size());
 
@@ -348,7 +347,7 @@ BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
   std::vector<TriplePatternIds> constants;
   constants.reserve(triples.size());
   for (const TriplePattern& tp : triples) {
-    constants.push_back(ResolveConstants(tp, terms));
+    constants.push_back(ResolveConstants(tp, store.terms()));
   }
 
   // Constant predicates accumulated per subject variable (star context).
@@ -359,7 +358,7 @@ BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
     std::uint64_t best_estimate = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t i = 0; i < remaining.size(); ++i) {
       const std::uint64_t est =
-          EstimateStep(*remaining[i], constants[i], bound, star_preds, index);
+          EstimateStep(*remaining[i], constants[i], bound, star_preds, store);
       if (est < best_estimate) {  // ties: keep the earliest (deterministic)
         best_estimate = est;
         best = i;
@@ -385,14 +384,15 @@ BgpPlan PlanBgp(const std::vector<TriplePattern>& triples,
   return plan;
 }
 
-Result<ResultSet> FrozenQueryEngine::Execute(const SelectQuery& query) const {
-  FrozenEvaluator evaluator(index_, terms_, query.var_names.size());
+Result<ResultSet> QueryEngine::Execute(const SelectQuery& query) const {
+  Evaluator evaluator(store_, query.var_names.size());
   std::vector<Row> solutions = evaluator.EvaluateGroup(
       query.where, {Row(query.var_names.size(), kInvalidTermId)});
-  return detail::MaterializeResults(query, terms_, std::move(solutions));
+  return detail::MaterializeResults(query, store_.terms(),
+                                    std::move(solutions));
 }
 
-Result<ResultSet> FrozenQueryEngine::Execute(std::string_view text) const {
+Result<ResultSet> QueryEngine::Execute(std::string_view text) const {
   auto query = ParseSparql(text);
   if (!query.ok()) return query.status();
   return Execute(query.value());

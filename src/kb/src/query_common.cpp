@@ -1,9 +1,10 @@
-#include "query_common.hpp"
+#include "scan/kb/query_common.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
 namespace scan::kb::detail {
@@ -203,7 +204,7 @@ Result<ResultSet> ExecuteAggregates(const SelectQuery& query,
       for (const Row* r : members) {
         const TermId value_id = RowValue(*r, var_id);
         if (value_id == kInvalidTermId) continue;
-        const auto value = NumericValue(terms.Get(value_id));
+        const auto value = terms.Numeric(value_id);
         if (!value) continue;
         if (n == 0) {
           min_v = max_v = *value;
@@ -403,3 +404,30 @@ Result<ResultSet> MaterializeResults(const SelectQuery& query,
 }
 
 }  // namespace scan::kb::detail
+
+namespace scan::kb {
+
+std::optional<std::size_t> ResultSet::ColumnOf(std::string_view var) const {
+  for (std::size_t i = 0; i < variables.size(); ++i) {
+    if (variables[i] == var) return i;
+  }
+  return std::nullopt;
+}
+
+std::string ResultSet::ToString() const {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < variables.size(); ++i) {
+    os << (i ? "\t" : "") << "?" << variables[i];
+  }
+  os << "\n";
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      os << (i ? "\t" : "");
+      os << (row[i] ? kb::ToString(*row[i]) : std::string("UNBOUND"));
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+}  // namespace scan::kb

@@ -7,18 +7,37 @@ namespace scan::kb {
 
 namespace {
 
+using Pair = std::pair<TermId, TermId>;
+
 // Sorted postings use (first, second) lexicographic order on raw indexes.
-bool PairLess(std::pair<TermId, TermId> a, std::pair<TermId, TermId> b) {
+bool PairLess(Pair a, Pair b) {
   if (Index(a.first) != Index(b.first)) {
     return Index(a.first) < Index(b.first);
   }
   return Index(a.second) < Index(b.second);
 }
 
-}  // namespace
+bool SpoLess(const Triple& a, const Triple& b) {
+  if (a.s != b.s) return Index(a.s) < Index(b.s);
+  if (a.p != b.p) return Index(a.p) < Index(b.p);
+  return Index(a.o) < Index(b.o);
+}
 
-bool TripleStore::InsertSorted(Postings& postings,
-                               std::pair<TermId, TermId> kv) {
+bool PosLess(const Triple& a, const Triple& b) {
+  if (a.p != b.p) return Index(a.p) < Index(b.p);
+  if (a.o != b.o) return Index(a.o) < Index(b.o);
+  return Index(a.s) < Index(b.s);
+}
+
+bool OspLess(const Triple& a, const Triple& b) {
+  if (a.o != b.o) return Index(a.o) < Index(b.o);
+  if (a.s != b.s) return Index(a.s) < Index(b.s);
+  return Index(a.p) < Index(b.p);
+}
+
+bool IdLess(TermId a, TermId b) { return Index(a) < Index(b); }
+
+bool InsertSorted(std::vector<Pair>& postings, Pair kv) {
   const auto it =
       std::lower_bound(postings.begin(), postings.end(), kv, PairLess);
   if (it != postings.end() && *it == kv) return false;
@@ -26,8 +45,7 @@ bool TripleStore::InsertSorted(Postings& postings,
   return true;
 }
 
-bool TripleStore::EraseSorted(Postings& postings,
-                              std::pair<TermId, TermId> kv) {
+bool EraseSorted(std::vector<Pair>& postings, Pair kv) {
   const auto it =
       std::lower_bound(postings.begin(), postings.end(), kv, PairLess);
   if (it == postings.end() || !(*it == kv)) return false;
@@ -35,99 +53,161 @@ bool TripleStore::EraseSorted(Postings& postings,
   return true;
 }
 
+/// The postings of `key` whose first component is `first`, ascending by
+/// the second.
+template <typename Map>
+std::span<const Pair> DeltaRange(const Map& index, TermId key, TermId first) {
+  if (index.empty()) return {};
+  const auto it = index.find(Index(key));
+  if (it == index.end()) return {};
+  const auto& postings = it->second;
+  const auto lo = std::lower_bound(postings.begin(), postings.end(),
+                                   Pair{first, kInvalidTermId}, PairLess);
+  auto hi = lo;
+  while (hi != postings.end() && hi->first == first) ++hi;
+  return {lo, hi};
+}
+
+/// Feeds `fn` the ascending union of a base stream (pushed through
+/// `base_visit`) and an ascending delta range; `value` projects a delta
+/// element onto the emitted type. Base and delta never share an element.
+template <typename Value, typename Delta, typename Project, typename Less,
+          typename BaseVisit, typename Fn>
+void MergeVisit(std::span<const Delta> delta, Project value, Less less,
+                BaseVisit base_visit, Fn& fn) {
+  std::size_t next = 0;
+  bool stopped = false;
+  base_visit([&](const Value& v) {
+    while (next < delta.size() && less(value(delta[next]), v)) {
+      if (!fn(value(delta[next++]))) {
+        stopped = true;
+        return false;
+      }
+    }
+    stopped = !fn(v);
+    return !stopped;
+  });
+  if (stopped) return;
+  while (next < delta.size()) {
+    if (!fn(value(delta[next++]))) return;
+  }
+}
+
+TermId Second(const Pair& kv) { return kv.second; }
+
+}  // namespace
+
 bool TripleStore::Add(const Term& s, const Term& p, const Term& o) {
   return Add(Triple{terms_.Intern(s), terms_.Intern(p), terms_.Intern(o)});
 }
 
 bool TripleStore::Add(Triple t) {
   assert(Index(t.s) != 0 && Index(t.p) != 0 && Index(t.o) != 0);
+  if (base_.Contains(t)) return false;
   if (!InsertSorted(spo_[Index(t.s)], {t.p, t.o})) return false;
   InsertSorted(pos_[Index(t.p)], {t.o, t.s});
   InsertSorted(osp_[Index(t.o)], {t.s, t.p});
-  ++count_;
-  ++revision_;
+  ++delta_size_;
+  if (delta_size_ > kCompactFloor &&
+      delta_size_ > base_.size() / kCompactDivisor) {
+    Compact();
+  }
   return true;
 }
 
 std::size_t TripleStore::AddBatch(std::span<const Triple> triples) {
   if (triples.empty()) return 0;
-  const std::size_t before = count_;
-
-  // Append everything, tracking touched keys per index.
-  std::vector<std::uint32_t> touched_s;
-  std::vector<std::uint32_t> touched_p;
-  std::vector<std::uint32_t> touched_o;
-  touched_s.reserve(triples.size());
-  touched_p.reserve(triples.size());
-  touched_o.reserve(triples.size());
-  for (const Triple& t : triples) {
-    assert(Index(t.s) != 0 && Index(t.p) != 0 && Index(t.o) != 0);
-    spo_[Index(t.s)].emplace_back(t.p, t.o);
-    pos_[Index(t.p)].emplace_back(t.o, t.s);
-    osp_[Index(t.o)].emplace_back(t.s, t.p);
-    touched_s.push_back(Index(t.s));
-    touched_p.push_back(Index(t.p));
-    touched_o.push_back(Index(t.o));
-  }
-
-  // Restore the sorted-unique invariant once per touched key.
-  auto restore = [](std::unordered_map<std::uint32_t, Postings>& index,
-                    std::vector<std::uint32_t>& keys) {
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (const std::uint32_t key : keys) {
-      Postings& postings = index[key];
-      std::sort(postings.begin(), postings.end(), PairLess);
-      postings.erase(std::unique(postings.begin(), postings.end()),
-                     postings.end());
-    }
-  };
-  restore(spo_, touched_s);
-  restore(pos_, touched_p);
-  restore(osp_, touched_o);
-
-  // Duplicates (within the batch or against existing triples) collapsed
-  // above; recount from the primary index.
-  count_ = 0;
-  for (const auto& [s, postings] : spo_) count_ += postings.size();
-  if (count_ != before) ++revision_;
-  return count_ - before;
+  const std::size_t before = size();
+  Rebuild(triples);
+  return size() - before;
 }
 
 bool TripleStore::Remove(Triple t) {
   const auto it = spo_.find(Index(t.s));
-  if (it == spo_.end()) return false;
-  if (!EraseSorted(it->second, {t.p, t.o})) return false;
-  // Erase posting lists that just became empty: the full-scan Match path
-  // visits every spo_ key, so a lingering empty list is both a leak and a
-  // subject the scan keeps touching forever. The secondary indexes are
-  // looked up with find() — operator[] would default-create an entry when
-  // the maps ever disagree, hiding the corruption it implies.
-  if (it->second.empty()) spo_.erase(it);
-  if (const auto pit = pos_.find(Index(t.p)); pit != pos_.end()) {
-    EraseSorted(pit->second, {t.o, t.s});
-    if (pit->second.empty()) pos_.erase(pit);
+  if (it != spo_.end() && EraseSorted(it->second, {t.p, t.o})) {
+    // Erase posting lists that just became empty: the full-scan path
+    // visits every spo_ key. The secondary indexes are looked up with
+    // find() — operator[] would default-create an entry when the maps
+    // ever disagree, hiding the corruption it implies.
+    if (it->second.empty()) spo_.erase(it);
+    if (const auto pit = pos_.find(Index(t.p)); pit != pos_.end()) {
+      EraseSorted(pit->second, {t.o, t.s});
+      if (pit->second.empty()) pos_.erase(pit);
+    }
+    if (const auto oit = osp_.find(Index(t.o)); oit != osp_.end()) {
+      EraseSorted(oit->second, {t.s, t.p});
+      if (oit->second.empty()) osp_.erase(oit);
+    }
+    --delta_size_;
+    return true;
   }
-  if (const auto oit = osp_.find(Index(t.o)); oit != osp_.end()) {
-    EraseSorted(oit->second, {t.s, t.p});
-    if (oit->second.empty()) osp_.erase(oit);
-  }
-  --count_;
-  ++revision_;
+  if (!base_.Contains(t)) return false;
+  Rebuild({}, t);
   return true;
 }
 
-bool TripleStore::Contains(Triple t) const {
-  const auto it = spo_.find(Index(t.s));
-  if (it == spo_.end()) return false;
-  const std::pair<TermId, TermId> kv{t.p, t.o};
-  const auto pit =
-      std::lower_bound(it->second.begin(), it->second.end(), kv, PairLess);
-  return pit != it->second.end() && *pit == kv;
+void TripleStore::Compact() {
+  if (delta_size_ > 0) Rebuild({});
 }
 
-void TripleStore::Match(const TriplePatternIds& pattern,
-                        FunctionRef<bool(const Triple&)> fn) const {
+void TripleStore::Rebuild(std::span<const Triple> extra,
+                          std::optional<Triple> removed) {
+  // The delta drains from spo_ alone; free the other two indexes first.
+  pos_ = {};
+  osp_ = {};
+  std::vector<Triple> delta;
+  delta.reserve(delta_size_);
+  DeltaMatch({}, [&](const Triple& t) {
+    delta.push_back(t);
+    return true;
+  });
+  spo_ = {};
+  delta_size_ = 0;
+  const auto id_limit = static_cast<std::uint32_t>(terms_.size()) + 1;
+  const TermId rdf_type = terms_.Lookup(MakeIri(std::string(kRdfType)))
+                              .value_or(kInvalidTermId);
+
+  // Fresh subjects only (every task log mints one): append in place.
+  if (extra.empty() && !removed && !delta.empty() &&
+      base_.AppendsAt(delta.front().s)) {
+    base_.Append(std::move(delta), id_limit, rdf_type);
+    return;
+  }
+
+  // Otherwise rebuild from base, delta and batch in one sorted vector.
+  std::vector<Triple> merged;
+  merged.reserve(base_.size() + delta.size() + extra.size());
+  base_.Match({}, [&](const Triple& t) {
+    merged.push_back(t);
+    return true;
+  });
+  merged.insert(merged.end(), delta.begin(), delta.end());
+  merged.insert(merged.end(), extra.begin(), extra.end());
+  delta = {};
+  std::sort(merged.begin(), merged.end(), SpoLess);
+  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  if (removed) {
+    const auto it =
+        std::lower_bound(merged.begin(), merged.end(), *removed, SpoLess);
+    if (it != merged.end() && *it == *removed) merged.erase(it);
+  }
+
+  base_ = FrozenIndex();
+  base_ = FrozenIndex::Build(std::move(merged), id_limit, rdf_type);
+}
+
+bool TripleStore::DeltaContains(Triple t) const {
+  const auto span = DeltaRange(spo_, t.s, t.p);
+  return std::binary_search(span.begin(), span.end(), Pair{t.p, t.o},
+                            PairLess);
+}
+
+bool TripleStore::Contains(Triple t) const {
+  return base_.Contains(t) || DeltaContains(t);
+}
+
+void TripleStore::DeltaMatch(const TriplePatternIds& pattern,
+                             FunctionRef<bool(const Triple&)> fn) const {
   // Choose the index keyed by a bound position; prefer the subject index,
   // then predicate, then object; fall back to a full scan over spo_.
   if (pattern.s) {
@@ -157,7 +237,7 @@ void TripleStore::Match(const TriplePatternIds& pattern,
     }
     return;
   }
-  // Full scan. Iterate subjects in ascending id order for determinism.
+  // Full scan. Iterate subjects in ascending id order.
   std::vector<std::uint32_t> subjects;
   subjects.reserve(spo_.size());
   for (const auto& [s, _] : spo_) subjects.push_back(s);
@@ -167,6 +247,27 @@ void TripleStore::Match(const TriplePatternIds& pattern,
       if (!fn(Triple{TermId{s}, p, o})) return;
     }
   }
+}
+
+void TripleStore::Match(const TriplePatternIds& pattern,
+                        FunctionRef<bool(const Triple&)> fn) const {
+  if (delta_size_ == 0) {
+    base_.Match(pattern, fn);
+    return;
+  }
+  std::vector<Triple> delta;
+  DeltaMatch(pattern, [&](const Triple& t) {
+    delta.push_back(t);
+    return true;
+  });
+  // Both sides emit in the same order; bound positions compare equal.
+  bool (*less)(const Triple&, const Triple&) = SpoLess;
+  if (!pattern.s && pattern.p) less = PosLess;
+  if (!pattern.s && !pattern.p && pattern.o) less = OspLess;
+  MergeVisit<Triple>(
+      std::span<const Triple>(delta),
+      [](const Triple& t) -> const Triple& { return t; }, less,
+      [&](auto&& visit) { base_.Match(pattern, visit); }, fn);
 }
 
 std::vector<Triple> TripleStore::MatchAll(
@@ -179,10 +280,43 @@ std::vector<Triple> TripleStore::MatchAll(
   return out;
 }
 
+std::uint64_t TripleStore::CountEstimate(
+    const TriplePatternIds& pattern) const {
+  std::uint64_t delta = 0;
+  if (!pattern.s && !pattern.p && !pattern.o) {
+    delta = delta_size_;
+  } else {
+    DeltaMatch(pattern, [&](const Triple&) {
+      ++delta;
+      return true;
+    });
+  }
+  return base_.CountEstimate(pattern) + delta;
+}
+
+void TripleStore::ObjectsVisit(TermId s, TermId p,
+                               FunctionRef<bool(TermId)> fn) const {
+  MergeVisit<TermId>(
+      DeltaRange(spo_, s, p), Second, IdLess,
+      [&](auto&& visit) {
+        for (const TermId o : base_.Objects(s, p)) {
+          if (!visit(o)) return;
+        }
+      },
+      fn);
+}
+
+void TripleStore::SubjectsVisit(TermId p, TermId o,
+                                FunctionRef<bool(TermId)> fn) const {
+  MergeVisit<TermId>(
+      DeltaRange(pos_, p, o), Second, IdLess,
+      [&](auto&& visit) { base_.SubjectsVisit(p, o, visit); }, fn);
+}
+
 std::vector<TermId> TripleStore::Objects(TermId s, TermId p) const {
   std::vector<TermId> out;
-  Match(TriplePatternIds{s, p, std::nullopt}, [&](const Triple& t) {
-    out.push_back(t.o);
+  ObjectsVisit(s, p, [&](TermId o) {
+    out.push_back(o);
     return true;
   });
   return out;
@@ -190,8 +324,8 @@ std::vector<TermId> TripleStore::Objects(TermId s, TermId p) const {
 
 std::vector<TermId> TripleStore::Subjects(TermId p, TermId o) const {
   std::vector<TermId> out;
-  Match(TriplePatternIds{std::nullopt, p, o}, [&](const Triple& t) {
-    out.push_back(t.s);
+  SubjectsVisit(p, o, [&](TermId s) {
+    out.push_back(s);
     return true;
   });
   return out;
@@ -199,8 +333,8 @@ std::vector<TermId> TripleStore::Subjects(TermId p, TermId o) const {
 
 std::optional<TermId> TripleStore::FirstObject(TermId s, TermId p) const {
   std::optional<TermId> out;
-  Match(TriplePatternIds{s, p, std::nullopt}, [&](const Triple& t) {
-    out = t.o;
+  ObjectsVisit(s, p, [&](TermId o) {
+    out = o;
     return false;
   });
   return out;

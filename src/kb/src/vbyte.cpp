@@ -1,6 +1,5 @@
 #include "scan/kb/vbyte.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace scan::kb {
@@ -24,76 +23,32 @@ std::uint32_t VbyteDecode(const std::uint8_t* bytes, std::size_t& pos) {
   }
 }
 
-CompressedPostings CompressedPostings::Build(const std::uint32_t* values,
-                                             std::size_t count) {
-  CompressedPostings out;
-  out.count_ = count;
-  out.samples_.reserve((count + kSkipInterval - 1) / kSkipInterval);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i % kSkipInterval == 0) {
-      // The sample holds the value itself; deltas resume at the next slot.
-      out.samples_.push_back(
-          Sample{values[i], static_cast<std::uint32_t>(out.bytes_.size())});
-      continue;
-    }
+std::uint32_t PostingPool::Add(const std::uint32_t* values,
+                               std::size_t count) {
+  const auto list = static_cast<std::uint32_t>(heads_.size());
+  heads_.push_back(Head{static_cast<std::uint32_t>(bytes_.size()),
+                        count == 0 ? 0 : values[0],
+                        static_cast<std::uint32_t>(count)});
+  for (std::size_t i = 1; i < count; ++i) {
     assert(values[i] > values[i - 1]);
-    VbyteEncode(values[i] - values[i - 1] - 1, out.bytes_);
+    VbyteEncode(values[i] - values[i - 1] - 1, bytes_);
   }
-  out.bytes_.shrink_to_fit();
-  return out;
+  return list;
 }
 
-std::uint32_t CompressedPostings::At(std::size_t i) const {
-  assert(i < count_);
-  const std::size_t block = i / kSkipInterval;
-  const Sample& sample = samples_[block];
-  std::uint32_t value = sample.value;
-  std::size_t pos = sample.byte_offset;
-  for (std::size_t k = block * kSkipInterval; k < i; ++k) {
-    value += VbyteDecode(bytes_.data(), pos) + 1;
-  }
-  return value;
-}
-
-std::size_t CompressedPostings::LowerBound(std::uint32_t key) const {
-  if (count_ == 0) return 0;
-  // Binary search over block samples: find the last block whose sample
-  // value is <= key (any earlier block is entirely < key).
-  const auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), key,
-      [](std::uint32_t k, const Sample& s) { return k < s.value; });
-  if (it == samples_.begin()) return 0;  // key < first value
-  const std::size_t block =
-      static_cast<std::size_t>(it - samples_.begin()) - 1;
-  const Sample& sample = samples_[block];
-  std::uint32_t value = sample.value;
-  std::size_t index = block * kSkipInterval;
-  if (value >= key) return index;
-  std::size_t pos = sample.byte_offset;
-  const std::size_t block_end = std::min(index + kSkipInterval, count_);
-  while (index + 1 < block_end) {
-    value += VbyteDecode(bytes_.data(), pos) + 1;
-    ++index;
-    if (value >= key) return index;
-  }
-  return block_end == count_ ? count_ : block_end;
-}
-
-bool CompressedPostings::Contains(std::uint32_t value) const {
-  const std::size_t i = LowerBound(value);
-  return i < count_ && At(i) == value;
+CompressedPostings PostingPool::Get(std::uint32_t list) const {
+  const Head& head = heads_[list];
+  const std::size_t byte_end =
+      list + 1 < heads_.size() ? heads_[list + 1].byte_begin : bytes_.size();
+  return CompressedPostings(bytes_.data() + head.byte_begin, head.first,
+                            head.count, byte_end - head.byte_begin);
 }
 
 void CompressedPostings::ForEach(FunctionRef<bool(std::uint32_t)> fn) const {
   std::size_t pos = 0;
-  std::uint32_t value = 0;
+  std::uint32_t value = first_;
   for (std::size_t i = 0; i < count_; ++i) {
-    if (i % kSkipInterval == 0) {
-      value = samples_[i / kSkipInterval].value;
-      pos = samples_[i / kSkipInterval].byte_offset;
-    } else {
-      value += VbyteDecode(bytes_.data(), pos) + 1;
-    }
+    if (i > 0) value += VbyteDecode(bytes_, pos) + 1;
     if (!fn(value)) return;
   }
 }

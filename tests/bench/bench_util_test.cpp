@@ -162,6 +162,77 @@ TEST(FlagsDeathTest, NonFiniteIntExits) {
       ::testing::ExitedWithCode(2), "expected an integer, got 'nan'");
 }
 
+TEST(FlagsTest, CountAcceptsDigitsAndExactNumbers) {
+  Argv args{"--events=18446744073709551615", "--ops=1e6", "--workers=0"};
+  const Flags flags = Parse(args, {"events", "ops", "workers", "pending"});
+  EXPECT_EQ(flags.GetCount("events", 1), 18446744073709551615ull);
+  EXPECT_EQ(flags.GetCount("ops", 1), 1'000'000u);
+  EXPECT_EQ(flags.GetCount("workers", 1), 0u);
+  EXPECT_EQ(flags.GetCount("pending", 7), 7u);
+}
+
+TEST(FlagsDeathTest, NegativeCountExits) {
+  EXPECT_EXIT(
+      {
+        Argv args{"--profiles=-1"};
+        (void)Parse(args, {"profiles"}).GetCount("profiles", 1);
+      },
+      ::testing::ExitedWithCode(2),
+      "bad value for --profiles: expected a non-negative integer, got '-1'");
+}
+
+TEST(FlagsDeathTest, FractionalCountExits) {
+  EXPECT_EXIT(
+      {
+        Argv args{"--events=2.5"};
+        (void)Parse(args, {"events"}).GetCount("events", 1);
+      },
+      ::testing::ExitedWithCode(2),
+      "bad value for --events: expected a non-negative integer, got '2.5'");
+}
+
+TEST(FlagsDeathTest, CountAboveRangeExits) {
+  EXPECT_EXIT(
+      {
+        Argv args{"--pending=18446744073709551616"};
+        (void)Parse(args, {"pending"}).GetCount("pending", 1);
+      },
+      ::testing::ExitedWithCode(2), "expected a non-negative integer");
+  EXPECT_EXIT(
+      {
+        Argv args{"--ops=1e30"};
+        (void)Parse(args, {"ops"}).GetCount("ops", 1);
+      },
+      ::testing::ExitedWithCode(2), "expected a non-negative integer");
+}
+
+TEST(FlagsDeathTest, NonFiniteCountExits) {
+  EXPECT_EXIT(
+      {
+        Argv args{"--workers=inf"};
+        (void)Parse(args, {"workers"}).GetCount("workers", 1);
+      },
+      ::testing::ExitedWithCode(2),
+      "expected a non-negative integer, got 'inf'");
+  EXPECT_EXIT(
+      {
+        Argv args{"--trace-capacity=nan"};
+        (void)Parse(args, {}).GetCount("trace-capacity", 1);
+      },
+      ::testing::ExitedWithCode(2),
+      "expected a non-negative integer, got 'nan'");
+}
+
+TEST(FlagsDeathTest, NonNumericCountExits) {
+  EXPECT_EXIT(
+      {
+        Argv args{"--profiles=lots"};
+        (void)Parse(args, {"profiles"}).GetCount("profiles", 1);
+      },
+      ::testing::ExitedWithCode(2),
+      "bad value for --profiles: expected a number, got 'lots'");
+}
+
 TEST(JsonTest, QuoteEscapesTableCellSpecials) {
   EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
   EXPECT_EQ(JsonQuote("a\"b\\c\nd\te"), "\"a\\\"b\\\\c\\nd\\te\"");

@@ -1,25 +1,29 @@
-// Units for the frozen KB index stack: varbyte posting arrays, the sorted
-// term dictionary, FrozenIndex accessors, the BGP planner, and the frozen
-// query engine (against the legacy engine on small fixtures; the randomized
-// differential suite lives in frozen_differential_test.cpp).
+// Units for the frozen KB index stack: varbyte posting arrays, FrozenIndex
+// accessors, the BGP planner, and the query engine (against the testkit
+// reference engine on small fixtures; the randomized differential suite
+// lives in frozen_differential_test.cpp).
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "scan/common/rng.hpp"
-#include "scan/kb/dictionary.hpp"
 #include "scan/kb/frozen_index.hpp"
 #include "scan/kb/knowledge_base.hpp"
 #include "scan/kb/plan.hpp"
 #include "scan/kb/sparql.hpp"
 #include "scan/kb/triple_store.hpp"
 #include "scan/kb/vbyte.hpp"
+#include "scan/testkit/kb_reference.hpp"
 
 namespace scan::kb {
 namespace {
+
+using testkit::ReferenceQueryEngine;
+using testkit::ReferenceStore;
 
 TEST(Vbyte, RoundTripsRepresentativeValues) {
   const std::vector<std::uint32_t> values = {
@@ -47,15 +51,19 @@ std::vector<std::uint32_t> AscendingSequence(std::size_t n,
 }
 
 TEST(CompressedPostings, AccessorsMatchSourceAcrossSizes) {
+  // One pool holds every size; views stay valid once adding is done.
+  PostingPool pool;
+  std::vector<std::vector<std::uint32_t>> sources;
+  std::vector<std::uint32_t> lists;
   for (const std::size_t n : {0ul, 1ul, 31ul, 32ul, 33ul, 100ul, 1000ul}) {
-    const auto values = AscendingSequence(n, 7 + n);
-    const auto postings = CompressedPostings::Build(values.data(), n);
-    ASSERT_EQ(postings.size(), n);
-    EXPECT_EQ(postings.empty(), n == 0);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(postings.At(i), values[i]) << "n=" << n << " i=" << i;
-    }
+    sources.push_back(AscendingSequence(n, 7 + n));
+    lists.push_back(pool.Add(sources.back().data(), n));
+  }
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    const auto& values = sources[k];
+    const auto postings = pool.Get(lists[k]);
+    ASSERT_EQ(postings.size(), values.size());
+    EXPECT_EQ(postings.empty(), values.empty());
 
     std::vector<std::uint32_t> streamed;
     postings.ForEach([&](std::uint32_t v) {
@@ -64,74 +72,27 @@ TEST(CompressedPostings, AccessorsMatchSourceAcrossSizes) {
     });
     EXPECT_EQ(streamed, values);
 
-    std::vector<std::uint32_t> appended;
+    std::vector<std::uint32_t> appended{42};
     postings.AppendTo(appended);
-    EXPECT_EQ(appended, values);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(postings.LowerBound(values[i]), i);
-      ASSERT_TRUE(postings.Contains(values[i]));
-      // Gaps are >= 1; value - 1 must never report present unless it is the
-      // previous element.
-      const std::uint32_t probe = values[i] - 1;
-      const bool is_prev = i > 0 && values[i - 1] == probe;
-      ASSERT_EQ(postings.Contains(probe), is_prev);
-      ASSERT_EQ(postings.LowerBound(probe), is_prev ? i - 1 : i);
-    }
-    if (n > 0) {
-      EXPECT_EQ(postings.LowerBound(values.back() + 1), n);
-      EXPECT_FALSE(postings.Contains(values.back() + 1));
-      EXPECT_EQ(postings.LowerBound(0), 0u);
-    }
+    ASSERT_EQ(appended.size(), values.size() + 1);
+    EXPECT_TRUE(std::equal(values.begin(), values.end(), appended.begin() + 1));
   }
 }
 
 TEST(CompressedPostings, EarlyStopAndCompression) {
   const auto values = AscendingSequence(500, 99);
-  const auto postings = CompressedPostings::Build(values.data(), values.size());
+  PostingPool pool;
+  const auto postings = pool.Get(pool.Add(values.data(), values.size()));
   std::size_t visited = 0;
   postings.ForEach([&](std::uint32_t) { return ++visited < 10; });
   EXPECT_EQ(visited, 10u);
   // Gaps under 300 fit two varbyte bytes: well under 4 bytes/value raw.
   EXPECT_LT(postings.byte_size(), values.size() * 4);
+  EXPECT_EQ(pool.byte_size(), postings.byte_size());
 }
 
-TEST(Dictionary, SortedLookupAndPrefixRange) {
-  TermTable terms;
-  const TermId b = terms.Intern(MakeIri("http://x/b"));
-  const TermId a = terms.Intern(MakeIri("http://x/a"));
-  const TermId lit = terms.Intern(MakeStringLiteral("http://x/a"));
-  const TermId num = terms.Intern(MakeIntLiteral(42));
-  const TermId blank = terms.Intern(MakeBlank("n1"));
-  const TermId a2 = terms.Intern(MakeIri("http://x/a2"));
-
-  const Dictionary dict = Dictionary::Build(terms);
-  EXPECT_EQ(dict.size(), terms.size());
-
-  // Every interned term resolves to its original (non-remapped) id.
-  EXPECT_EQ(dict.Lookup(MakeIri("http://x/a")), a);
-  EXPECT_EQ(dict.Lookup(MakeIri("http://x/b")), b);
-  EXPECT_EQ(dict.Lookup(MakeStringLiteral("http://x/a")), lit);
-  EXPECT_EQ(dict.Lookup(MakeIntLiteral(42)), num);
-  EXPECT_EQ(dict.Lookup(MakeBlank("n1")), blank);
-  EXPECT_FALSE(dict.Lookup(MakeIri("http://x/zzz")).has_value());
-  EXPECT_FALSE(dict.Lookup(MakeStringLiteral("42")).has_value());
-
-  // sorted_ids is ordered by (kind, lexical, datatype).
-  const auto& ids = dict.sorted_ids();
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    const Term& lhs = dict.Get(ids[i - 1]);
-    const Term& rhs = dict.Get(ids[i]);
-    EXPECT_LE(std::tie(lhs.kind, lhs.lexical, lhs.datatype),
-              std::tie(rhs.kind, rhs.lexical, rhs.datatype));
-  }
-
-  const std::vector<TermId> prefix = dict.IriPrefixRange("http://x/a");
-  EXPECT_EQ(prefix, (std::vector<TermId>{a, a2}));
-  EXPECT_TRUE(dict.IriPrefixRange("zzz").empty());
-}
-
-/// Small mixed-shape graph used across the FrozenIndex tests.
+/// Small mixed-shape graph used across the FrozenIndex tests, compacted so
+/// its base holds every triple.
 TripleStore MakeFixtureStore() {
   TripleStore store;
   const Term type = MakeIri(std::string(kRdfType));
@@ -144,25 +105,27 @@ TripleStore MakeFixtureStore() {
   store.Add(MakeIri("s/carol"), type, MakeIri("c/Robot"));
   store.Add(MakeIri("s/carol"), MakeIri("p/age"), MakeIntLiteral(5));
   store.Add(MakeIri("s/carol"), MakeIri("p/knows"), MakeIri("s/alice"));
+  store.Compact();
   return store;
 }
 
-TermId Id(const TripleStore& store, const Term& term) {
-  const auto id = store.terms().Lookup(term);
+TermId Id(const TermTable& terms, const Term& term) {
+  const auto id = terms.Lookup(term);
   EXPECT_TRUE(id.has_value()) << ToString(term);
   return id.value_or(kInvalidTermId);
 }
 
 TEST(FrozenIndex, HotPathAccessorsMatchStore) {
-  const TripleStore store = MakeFixtureStore();
-  const FrozenIndex frozen = FrozenIndex::Freeze(store);
+  const TripleStore lsm = MakeFixtureStore();
+  const FrozenIndex& frozen = lsm.base();
+  const ReferenceStore store = ReferenceStore::Mirror(lsm);
   EXPECT_EQ(frozen.size(), store.size());
 
-  const TermId alice = Id(store, MakeIri("s/alice"));
-  const TermId knows = Id(store, MakeIri("p/knows"));
-  const TermId age = Id(store, MakeIri("p/age"));
-  const TermId person = Id(store, MakeIri("c/Person"));
-  const TermId type = Id(store, MakeIri(std::string(kRdfType)));
+  const TermId alice = Id(store.terms(), MakeIri("s/alice"));
+  const TermId knows = Id(store.terms(), MakeIri("p/knows"));
+  const TermId age = Id(store.terms(), MakeIri("p/age"));
+  const TermId person = Id(store.terms(), MakeIri("c/Person"));
+  const TermId type = Id(store.terms(), MakeIri(std::string(kRdfType)));
 
   const auto knows_span = frozen.Objects(alice, knows);
   const std::vector<TermId> knows_vec(knows_span.begin(), knows_span.end());
@@ -173,14 +136,8 @@ TEST(FrozenIndex, HotPathAccessorsMatchStore) {
   const auto instances = frozen.InstancesOf(person);
   EXPECT_EQ(std::vector<TermId>(instances.begin(), instances.end()),
             store.InstancesOf(person));
+  EXPECT_EQ(lsm.InstancesOf(person), store.InstancesOf(person));
   EXPECT_TRUE(frozen.InstancesOf(knows).empty());
-
-  const auto preds = frozen.PredicatesOf(alice);
-  EXPECT_EQ(preds.size(), 3u);  // rdf:type, age, knows
-  EXPECT_TRUE(std::is_sorted(preds.begin(), preds.end(),
-                             [](TermId a, TermId b) {
-                               return Index(a) < Index(b);
-                             }));
 
   EXPECT_TRUE(frozen.Contains(Triple{alice, type, person}));
   EXPECT_FALSE(frozen.Contains(Triple{alice, type, knows}));
@@ -197,12 +154,13 @@ TEST(FrozenIndex, HotPathAccessorsMatchStore) {
 }
 
 TEST(FrozenIndex, MatchEmitsLegacyOrderForEveryShape) {
-  const TripleStore store = MakeFixtureStore();
-  const FrozenIndex frozen = FrozenIndex::Freeze(store);
+  const TripleStore lsm = MakeFixtureStore();
+  const FrozenIndex& frozen = lsm.base();
+  const ReferenceStore store = ReferenceStore::Mirror(lsm);
 
-  const TermId alice = Id(store, MakeIri("s/alice"));
-  const TermId knows = Id(store, MakeIri("p/knows"));
-  const TermId bob = Id(store, MakeIri("s/bob"));
+  const TermId alice = Id(store.terms(), MakeIri("s/alice"));
+  const TermId knows = Id(store.terms(), MakeIri("p/knows"));
+  const TermId bob = Id(store.terms(), MakeIri("s/bob"));
   const std::optional<TermId> none;
 
   const std::vector<TriplePatternIds> shapes = {
@@ -215,9 +173,74 @@ TEST(FrozenIndex, MatchEmitsLegacyOrderForEveryShape) {
   }
 }
 
+TEST(FrozenIndex, AppendMatchesBuild) {
+  // Subjects 1..40 with a few predicates; the split leaves subject 20's
+  // triples on both sides, so Append reopens the last row.
+  RandomStream rng(31, "append-test");
+  TermTable terms;
+  const TermId type = terms.Intern(MakeIri(std::string(kRdfType)));
+  std::vector<Triple> all;
+  for (int s = 1; s <= 40; ++s) {
+    const TermId subject = terms.Intern(MakeIri("s/" + std::to_string(s)));
+    all.push_back(Triple{subject, type,
+                         terms.Intern(MakeIri("c/" + std::to_string(s % 3)))});
+    for (int k = 0; k < 4; ++k) {
+      all.push_back(Triple{
+          subject, terms.Intern(MakeIri("p/" + std::to_string(k))),
+          terms.Intern(MakeIntLiteral(rng.UniformBelow(12)))});
+    }
+  }
+  auto spo_less = [](const Triple& a, const Triple& b) {
+    return std::tuple(Index(a.s), Index(a.p), Index(a.o)) <
+           std::tuple(Index(b.s), Index(b.p), Index(b.o));
+  };
+  std::sort(all.begin(), all.end(), spo_less);
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  const auto id_limit = static_cast<std::uint32_t>(terms.size()) + 1;
+
+  // Split inside subject 20's run, then shuffle its predicates across the
+  // split so the reopened row must merge, not just concatenate.
+  const TermId s20 = *terms.Lookup(MakeIri("s/20"));
+  const auto first20 = std::find_if(
+      all.begin(), all.end(), [&](const Triple& t) { return t.s == s20; });
+  std::vector<Triple> head(all.begin(), first20 + 2);
+  std::vector<Triple> tail(first20 + 2, all.end());
+  std::swap(head.back(), tail.front());
+  std::sort(head.begin(), head.end(), spo_less);
+  std::sort(tail.begin(), tail.end(), spo_less);
+
+  FrozenIndex appended = FrozenIndex::Build(head, id_limit, type);
+  ASSERT_TRUE(appended.AppendsAt(s20));
+  appended.Append(tail, id_limit, type);
+  const FrozenIndex built = FrozenIndex::Build(all, id_limit, type);
+
+  EXPECT_EQ(appended.MatchAll({}), built.MatchAll({}));
+  for (const Triple& t : all) {
+    ASSERT_EQ(appended.MatchAll({t.s, std::nullopt, std::nullopt}),
+              built.MatchAll({t.s, std::nullopt, std::nullopt}));
+    ASSERT_EQ(appended.MatchAll({std::nullopt, t.p, std::nullopt}),
+              built.MatchAll({std::nullopt, t.p, std::nullopt}));
+    ASSERT_EQ(appended.MatchAll({std::nullopt, std::nullopt, t.o}),
+              built.MatchAll({std::nullopt, std::nullopt, t.o}));
+    const auto a = appended.InstancesOf(t.o);
+    const auto b = built.InstancesOf(t.o);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+  EXPECT_EQ(appended.stats().triples, built.stats().triples);
+  EXPECT_EQ(appended.stats().subjects, built.stats().subjects);
+  EXPECT_EQ(appended.stats().predicates, built.stats().predicates);
+  EXPECT_EQ(appended.stats().objects, built.stats().objects);
+  EXPECT_EQ(appended.stats().posting_lists, built.stats().posting_lists);
+  for (const TermId p : {type, *terms.Lookup(MakeIri("p/0"))}) {
+    const std::vector<TermId> preds{p};
+    EXPECT_EQ(appended.CountSubjectsWithPredicates(preds),
+              built.CountSubjectsWithPredicates(preds));
+  }
+}
+
 TEST(FrozenIndex, StatsAndCharacteristicSets) {
   const TripleStore store = MakeFixtureStore();
-  const FrozenIndex frozen = FrozenIndex::Freeze(store);
+  const FrozenIndex& frozen = store.base();
 
   const auto& stats = frozen.stats();
   EXPECT_EQ(stats.triples, store.size());
@@ -234,26 +257,18 @@ TEST(FrozenIndex, StatsAndCharacteristicSets) {
   }
   EXPECT_EQ(total, 3u);
 
-  const TermId age = Id(store, MakeIri("p/age"));
-  const TermId knows = Id(store, MakeIri("p/knows"));
+  const TermId age = Id(store.terms(), MakeIri("p/age"));
+  const TermId knows = Id(store.terms(), MakeIri("p/knows"));
   EXPECT_EQ(frozen.CountSubjectsWithPredicates(
                 std::vector<TermId>{age, knows}),
             2u);
   EXPECT_EQ(frozen.CountSubjectsWithPredicates(std::vector<TermId>{age}), 3u);
 
-  const TermId alice = Id(store, MakeIri("s/alice"));
+  const TermId alice = Id(store.terms(), MakeIri("s/alice"));
   EXPECT_EQ(frozen.CountEstimate({alice, std::nullopt, std::nullopt}), 4u);
   EXPECT_EQ(frozen.CountEstimate({std::nullopt, knows, std::nullopt}), 3u);
   EXPECT_EQ(frozen.CountEstimate({std::nullopt, std::nullopt, std::nullopt}),
             store.size());
-}
-
-TEST(FrozenIndex, DictionaryIsIdCompatible) {
-  const TripleStore store = MakeFixtureStore();
-  const FrozenIndex frozen = FrozenIndex::Freeze(store);
-  EXPECT_EQ(frozen.Lookup(MakeIri("s/alice")),
-            store.terms().Lookup(MakeIri("s/alice")));
-  EXPECT_FALSE(frozen.Lookup(MakeIri("s/nobody")).has_value());
 }
 
 TEST(PlanBgp, OrdersBySelectivityAndPicksMergeStrategies) {
@@ -265,7 +280,7 @@ TEST(PlanBgp, OrdersBySelectivityAndPicksMergeStrategies) {
     p.etime = 10.0 + i;
     kb.AddProfile(p);
   }
-  const FrozenIndex frozen = FrozenIndex::Freeze(kb.store());
+  (void)kb.Freeze();
 
   const auto query = ParseSparql(
       KnowledgeBase::QueryPrefixes() +
@@ -278,8 +293,8 @@ TEST(PlanBgp, OrdersBySelectivityAndPicksMergeStrategies) {
 
   const BgpPlan plan =
       PlanBgp(query.value().where.triples,
-              std::vector<bool>(query.value().var_names.size(), false), frozen,
-              kb.store().terms());
+              std::vector<bool>(query.value().var_names.size(), false),
+              kb.store());
   ASSERT_EQ(plan.steps.size(), 3u);
 
   // The app="GATK" pattern is the most selective (10 subjects vs 40), so it
@@ -307,7 +322,7 @@ std::vector<std::string> SortedRows(const ResultSet& rs) {
   return rows;
 }
 
-TEST(FrozenQueryEngine, MatchesLegacyEngineOnFixtureQueries) {
+TEST(QueryEngine, MatchesReferenceEngineOnFixtureQueries) {
   KnowledgeBase kb;
   for (int i = 0; i < 12; ++i) {
     ApplicationProfile p;
@@ -318,11 +333,12 @@ TEST(FrozenQueryEngine, MatchesLegacyEngineOnFixtureQueries) {
     p.cpu = i % 2 == 0 ? 8 : 0;
     p.stage = i % 3;
     kb.AddProfile(p);
+    if (i == 5) (void)kb.Freeze();
   }
-  const TripleStore& store = kb.store();
-  const FrozenIndex frozen = FrozenIndex::Freeze(store);
-  const QueryEngine legacy(store);
-  const FrozenQueryEngine planned(frozen, store.terms());
+  // Half the profiles land in the base, half stay in the delta.
+  const ReferenceStore reference = ReferenceStore::Mirror(kb.store());
+  const ReferenceQueryEngine legacy(reference);
+  const QueryEngine planned(kb.store());
 
   const std::string prefixes = KnowledgeBase::QueryPrefixes();
   const std::vector<std::string> queries = {
@@ -385,17 +401,18 @@ TEST(TripleStore, AddBatchMatchesIncrementalAdds) {
   }
   // Duplicate a slice of the batch: AddBatch must collapse them.
   staged.insert(staged.end(), staged.begin(), staged.begin() + 50);
-  const std::uint64_t rev_before = batched.revision();
   const std::size_t added = batched.AddBatch(staged);
   EXPECT_EQ(added, incremental.size());
   EXPECT_EQ(batched.size(), incremental.size());
-  EXPECT_GT(batched.revision(), rev_before);
+  // The batch builds the base directly; the adds stay in the delta.
+  EXPECT_EQ(batched.delta_size(), 0u);
+  EXPECT_EQ(batched.base().size(), batched.size());
+  EXPECT_EQ(incremental.delta_size(), incremental.size());
   EXPECT_EQ(batched.MatchAll({std::nullopt, std::nullopt, std::nullopt}),
             incremental.MatchAll({std::nullopt, std::nullopt, std::nullopt}));
-  // A second identical batch is a no-op and does not bump the revision.
-  const std::uint64_t rev_after = batched.revision();
+  // A second identical batch adds nothing.
   EXPECT_EQ(batched.AddBatch(staged), 0u);
-  EXPECT_EQ(batched.revision(), rev_after);
+  EXPECT_EQ(batched.size(), incremental.size());
 }
 
 TEST(KnowledgeBase, FreezeLifecycleAndBulkLoad) {
@@ -417,48 +434,41 @@ TEST(KnowledgeBase, FreezeLifecycleAndBulkLoad) {
   EXPECT_EQ(bulk.store().size(), incremental.store().size());
   EXPECT_EQ(bulk.ProfileCount("GATK"), incremental.ProfileCount("GATK"));
 
-  // Freshness routing: stale after mutation, fresh again after Freeze().
-  EXPECT_FALSE(bulk.FrozenFresh());
-  EXPECT_EQ(bulk.frozen(), nullptr);
-  bulk.Freeze();
+  // The bulk load compacts; single adds stay in the delta until Freeze().
   EXPECT_TRUE(bulk.FrozenFresh());
-  ASSERT_NE(bulk.frozen(), nullptr);
+  EXPECT_FALSE(incremental.FrozenFresh());
+  EXPECT_EQ(incremental.Freeze().size(), incremental.store().size());
+  EXPECT_TRUE(incremental.FrozenFresh());
 
-  const auto legacy_advice = incremental.AdviseShardSize("GATK", 0.5, 100.0);
-  const auto frozen_advice = bulk.AdviseShardSize("GATK", 0.5, 100.0);
-  ASSERT_TRUE(legacy_advice.ok()) << legacy_advice.status().ToString();
-  ASSERT_TRUE(frozen_advice.ok()) << frozen_advice.status().ToString();
-  EXPECT_EQ(frozen_advice.value().shard_size_gb,
-            legacy_advice.value().shard_size_gb);
-  EXPECT_EQ(frozen_advice.value().time_per_gb,
-            legacy_advice.value().time_per_gb);
-  EXPECT_EQ(frozen_advice.value().source_individual,
-            legacy_advice.value().source_individual);
-  EXPECT_EQ(frozen_advice.value().recommended_cpu,
-            legacy_advice.value().recommended_cpu);
-  EXPECT_EQ(frozen_advice.value().recommended_ram_gb,
-            legacy_advice.value().recommended_ram_gb);
+  const auto a = incremental.AdviseShardSize("GATK", 0.5, 100.0);
+  const auto b = bulk.AdviseShardSize("GATK", 0.5, 100.0);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b.value().shard_size_gb, a.value().shard_size_gb);
+  EXPECT_EQ(b.value().time_per_gb, a.value().time_per_gb);
+  EXPECT_EQ(b.value().source_individual, a.value().source_individual);
+  EXPECT_EQ(b.value().recommended_cpu, a.value().recommended_cpu);
+  EXPECT_EQ(b.value().recommended_ram_gb, a.value().recommended_ram_gb);
 
-  // Profiles are byte-identical through either path.
-  const auto a = incremental.Profiles("BWA");
-  const auto b = bulk.Profiles("BWA");
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].individual, b[i].individual);
-    EXPECT_EQ(a[i].etime, b[i].etime);
+  // Profiles are byte-identical through either load path.
+  const auto pa = incremental.Profiles("BWA");
+  const auto pb = bulk.Profiles("BWA");
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].individual, pb[i].individual);
+    EXPECT_EQ(pa[i].etime, pb[i].etime);
   }
 
-  // Mutation invalidates the snapshot; advice falls back to the legacy
-  // path and still works.
+  // A task log lands in the delta; advice sees it at once.
   ApplicationProfile extra;
   extra.application = "GATK";
   extra.input_file_size_gb = 2.0;
   extra.etime = 0.1;
   bulk.RecordTaskLog(extra);
   EXPECT_FALSE(bulk.FrozenFresh());
-  const auto stale_advice = bulk.AdviseShardSize("GATK", 0.5, 100.0);
-  ASSERT_TRUE(stale_advice.ok());
-  EXPECT_NEAR(stale_advice.value().time_per_gb, 0.05, 1e-12);
+  const auto fresh_advice = bulk.AdviseShardSize("GATK", 0.5, 100.0);
+  ASSERT_TRUE(fresh_advice.ok());
+  EXPECT_NEAR(fresh_advice.value().time_per_gb, 0.05, 1e-12);
 }
 
 TEST(KnowledgeBase, FrozenQueryRoutingPreservesResults) {
