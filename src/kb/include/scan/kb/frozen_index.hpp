@@ -132,7 +132,6 @@ class FrozenIndex {
     std::size_t characteristic_sets = 0;
     std::size_t compressed_postings_bytes = 0;  // POS subject lists, encoded
     std::size_t raw_posting_values = 0;         // POS subject list entries
-    std::size_t posting_lists = 0;              // one per distinct (p, o)
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

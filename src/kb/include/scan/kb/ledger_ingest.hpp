@@ -4,8 +4,8 @@
 // every ProfileRow becomes one scan:StageProfile named individual whose
 // properties (stage, tier, threads, observations, totalRuntimeTU,
 // crashes, flaps, retries, straggles) are staged as a single
-// TripleStore::AddBatch. After Freeze(), the rows answer SPARQL
-// questions — "which tier ran stage 2 fastest per observation?" — from
+// TripleStore::AddBatch, which compacts them into the store's frozen
+// base. The rows then answer SPARQL questions — "which tier ran stage 2 fastest per observation?" — from
 // measured data, closing the paper's profile-expansion loop (§III-A-2)
 // with runtime telemetry instead of hand-entered logs.
 

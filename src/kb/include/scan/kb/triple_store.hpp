@@ -8,13 +8,16 @@
 // disjoint) in ascending id order, merging the base's stream with the
 // delta's sorted postings in one pass.
 //
-// Compaction drains base and delta into one sorted triple vector, releases
-// the old base and builds a new one. It runs on every AddBatch (so a bulk
-// load builds the base directly), on an Add that pushes the delta past
-// 1/kCompactDivisor of the base (and past kCompactFloor triples), and on a
-// Remove of a base triple (rare; it keeps the base free of tombstones).
-// The SPARQL engine (sparql.hpp) plans from base statistics and scans
-// through these accessors.
+// Compaction folds the delta into the base. It runs on every AddBatch (so
+// a bulk load builds the base directly), on an Add that pushes the delta
+// past 1/kCompactDivisor of the base (and past kCompactFloor triples), and
+// on a Remove of a base triple (rare; it keeps the base free of
+// tombstones). When every delta subject sorts at or after the base's last
+// subject — task logs always mint fresh individuals — the base appends in
+// place (FrozenIndex::Append); otherwise base, delta and batch drain into
+// one sorted vector and a new base is built from it. The SPARQL engine
+// (sparql.hpp) plans from base statistics and scans through these
+// accessors.
 
 #include <cstdint>
 #include <optional>
@@ -33,9 +36,10 @@ namespace scan::kb {
 class TripleStore {
  public:
   /// An Add compacts once the delta holds more than base / kCompactDivisor
-  /// triples and more than kCompactFloor. Compaction costs O(n log n) over
-  /// the whole store, so this amortizes to O(kCompactDivisor · log n) per
-  /// added triple while keeping the delta a small fraction of the base.
+  /// triples and more than kCompactFloor. A compaction touches the whole
+  /// store once, so this amortizes to O(kCompactDivisor) per added triple
+  /// while keeping the delta — the costlier structure per triple — a small
+  /// fraction of the base.
   static constexpr std::size_t kCompactDivisor = 32;
   static constexpr std::size_t kCompactFloor = 1024;
 
@@ -51,14 +55,14 @@ class TripleStore {
 
   /// Bulk insertion: merges the batch, the delta and the base into a new
   /// base in one O(n log n) compaction. Returns the number of triples
-  /// actually added (duplicates collapse).
+  /// actually added (duplicates collapse); an empty batch is a no-op.
   std::size_t AddBatch(std::span<const Triple> triples);
 
   /// Removes a triple; returns false if absent. Removing a base triple
   /// compacts.
   bool Remove(Triple t);
 
-  /// Folds the delta into a new base now.
+  /// Folds the delta into the base now.
   void Compact();
 
   [[nodiscard]] bool Contains(Triple t) const;

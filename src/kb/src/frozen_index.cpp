@@ -133,7 +133,6 @@ void FrozenIndex::Append(std::vector<Triple> triples, std::uint32_t id_limit,
   old_preds.swap(preds_);
   std::vector<bool> object_seen(subject_row_.size(), false);
   stats_.objects = 0;
-  stats_.posting_lists = 0;
   stats_.compressed_postings_bytes = 0;
   std::size_t k = 0;
   for (i = 0; k < old_preds.size() || i < n;) {
@@ -233,7 +232,6 @@ FrozenIndex::PredEntry FrozenIndex::MergePredicate(
     (void)entry.postings.Add(subjects.data(), subjects.size());
   });
   entry.postings.ShrinkToFit();
-  stats_.posting_lists += lists;
   stats_.compressed_postings_bytes += entry.postings.byte_size();
   return entry;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 namespace scan::kb {
 
@@ -11,28 +12,23 @@ using Pair = std::pair<TermId, TermId>;
 
 // Sorted postings use (first, second) lexicographic order on raw indexes.
 bool PairLess(Pair a, Pair b) {
-  if (Index(a.first) != Index(b.first)) {
-    return Index(a.first) < Index(b.first);
-  }
-  return Index(a.second) < Index(b.second);
+  return std::pair(Index(a.first), Index(a.second)) <
+         std::pair(Index(b.first), Index(b.second));
 }
 
 bool SpoLess(const Triple& a, const Triple& b) {
-  if (a.s != b.s) return Index(a.s) < Index(b.s);
-  if (a.p != b.p) return Index(a.p) < Index(b.p);
-  return Index(a.o) < Index(b.o);
+  return std::tuple(Index(a.s), Index(a.p), Index(a.o)) <
+         std::tuple(Index(b.s), Index(b.p), Index(b.o));
 }
 
 bool PosLess(const Triple& a, const Triple& b) {
-  if (a.p != b.p) return Index(a.p) < Index(b.p);
-  if (a.o != b.o) return Index(a.o) < Index(b.o);
-  return Index(a.s) < Index(b.s);
+  return std::tuple(Index(a.p), Index(a.o), Index(a.s)) <
+         std::tuple(Index(b.p), Index(b.o), Index(b.s));
 }
 
 bool OspLess(const Triple& a, const Triple& b) {
-  if (a.o != b.o) return Index(a.o) < Index(b.o);
-  if (a.s != b.s) return Index(a.s) < Index(b.s);
-  return Index(a.p) < Index(b.p);
+  return std::tuple(Index(a.o), Index(a.s), Index(a.p)) <
+         std::tuple(Index(b.o), Index(b.s), Index(b.p));
 }
 
 bool IdLess(TermId a, TermId b) { return Index(a) < Index(b); }

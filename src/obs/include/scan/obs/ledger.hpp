@@ -8,7 +8,7 @@
 //
 // The ledger is the bridge from observability to the knowledge base:
 // scan_kb's ledger ingest turns each row into scan:StageProfile triples
-// (AddBatch), after which the frozen index answers SPARQL questions like
+// (AddBatch), after which the KB answers SPARQL questions like
 // "which tier runs stage 2 fastest per thread" from measured data.
 //
 // Determinism: rows are a pure function of the event stream. Runtimes
