@@ -4,8 +4,9 @@
 //
 // TripleStore (triple_store.hpp) is an LSM-style store: this index holds
 // every triple up to the last compaction, and a small hash-indexed delta
-// holds the triples added since. Compaction drains both into one sorted
-// triple vector and builds a fresh index from it:
+// holds the triples added since. Compaction folds the delta in: Append
+// when its subjects sort last (task logs), else Build from one sorted
+// triple vector. The layout:
 //
 //  * SPO side, span-serving: subjects laid out in ascending id order, each
 //    owning a run of its (p, o) pairs in two parallel arrays, stored in

@@ -71,9 +71,12 @@ std::uint64_t EstimateStep(
   if (s_var != nullptr && constants.p && !constants.o &&
       std::holds_alternative<Variable>(tp.o)) {
     const auto it = star_preds.find(s_var->id);
-    const std::uint64_t p_subjects = base.CountSubjectsWithPredicates(
-        std::span<const TermId>(&*constants.p, 1));
-    if (it != star_preds.end() && !it->second.empty() && p_subjects > 0) {
+    const std::uint64_t p_subjects =
+        it == star_preds.end() || it->second.empty()
+            ? 0
+            : base.CountSubjectsWithPredicates(
+                  std::span<const TermId>(&*constants.p, 1));
+    if (p_subjects > 0) {
       std::vector<TermId> preds = it->second;
       preds.push_back(*constants.p);
       const std::uint64_t star_subjects =
