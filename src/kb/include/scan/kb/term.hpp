@@ -99,9 +99,8 @@ class TermTable {
     std::uint32_t offset = 0;
     std::uint32_t length = 0;
     std::uint32_t affix = 0;  // IRI namespace or literal datatype; 0 = none
-    std::uint32_t chunk : 29 = 0;
-    std::uint32_t kind : 2 = 0;     // TermKind
-    std::uint32_t numeric : 1 = 0;  // numbers_[id] holds NumericValue
+    std::uint32_t chunk : 30 = 0;
+    std::uint32_t kind : 2 = 0;  // TermKind
   };
 
   /// The stored part of an entry's text (an IRI's local name).
@@ -121,6 +120,9 @@ class TermTable {
   // without transient doubling.
   std::deque<Entry> entries_;      // index 0 is a sentinel
   std::deque<double> numbers_;     // parallel to entries_
+  // numeric_[id]: numbers_[id] holds NumericValue. A bitset stays
+  // cache-resident, so the advice scan's checks touch one cold line.
+  std::vector<bool> numeric_;
   std::vector<std::string> chunks_;  // stored text, kChunkBytes each
   std::vector<std::string> affixes_;  // [0] = ""
   std::unordered_map<std::string, std::uint32_t> affix_ids_;

@@ -89,6 +89,7 @@ constexpr std::size_t kMinNamespace = 8;
 TermTable::TermTable()
     : entries_(1),  // sentinel for kInvalidTermId
       numbers_(1, 0.0),
+      numeric_(1, false),
       affixes_{""},
       affix_ids_{{"", 0}},
       slots_(16, 0) {}
@@ -168,10 +169,10 @@ TermId TermTable::Intern(const Term& term) {
   chunks_.back() += stored;
 
   const std::optional<double> number = NumericValue(term);
-  entry.numeric = number.has_value() ? 1 : 0;
   const auto id = static_cast<std::uint32_t>(entries_.size());
   entries_.push_back(entry);
   numbers_.push_back(number.value_or(0.0));
+  numeric_.push_back(number.has_value());
   if (4 * entries_.size() > 3 * slots_.size()) {
     Rehash(2 * slots_.size());
   } else {
@@ -199,7 +200,7 @@ Term TermTable::Get(TermId id) const {
 }
 
 std::optional<double> TermTable::Numeric(TermId id) const {
-  if (!entries_[Index(id)].numeric) return std::nullopt;
+  if (!numeric_[Index(id)]) return std::nullopt;
   return numbers_[Index(id)];
 }
 
