@@ -54,10 +54,18 @@ struct ParsedEvent {
   std::uint64_t parent = 0;
 };
 
+/// `"key":` followed by `tail`. Appended piecewise: GCC 12's -O3
+/// -Wrestrict misfires on `"literal" + std::string`.
+std::string KeyNeedle(std::string_view key, std::string_view tail = "") {
+  std::string needle = "\"";
+  needle.append(key).append("\":").append(tail);
+  return needle;
+}
+
 /// Extracts the number following `"key":` in a JSON object line. Good
 /// enough for the exporters' machine-written one-object-per-line output.
 std::optional<double> FindNumber(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = KeyNeedle(key);
   const std::size_t pos = line.find(needle);
   if (pos == std::string_view::npos) return std::nullopt;
   return ParseDouble(line.substr(pos + needle.size(),
@@ -67,7 +75,7 @@ std::optional<double> FindNumber(std::string_view line, std::string_view key) {
 
 std::optional<std::string> FindString(std::string_view line,
                                       std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  const std::string needle = KeyNeedle(key, "\"");
   const std::size_t pos = line.find(needle);
   if (pos == std::string_view::npos) return std::nullopt;
   const std::size_t start = pos + needle.size();
@@ -79,7 +87,7 @@ std::optional<std::string> FindString(std::string_view line,
 /// Span/parent ids exceed double's 53-bit mantissa (tag in the top two
 /// bits), so they are parsed as integer text, not through ParseDouble.
 std::uint64_t FindU64(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = KeyNeedle(key);
   const std::size_t pos = line.find(needle);
   if (pos == std::string_view::npos) return 0;
   const std::size_t start = pos + needle.size();

@@ -10,6 +10,12 @@ namespace scan::kb {
 
 namespace {
 
+/// A 1-based position in the input.
+struct Location {
+  std::size_t line = 1;
+  std::size_t column = 1;
+};
+
 /// Cursor over the input with line/column tracking for diagnostics.
 class Cursor {
  public:
@@ -45,10 +51,7 @@ class Cursor {
     }
   }
 
-  [[nodiscard]] std::string Where() const {
-    return "line " + std::to_string(line_) + ", column " +
-           std::to_string(column_);
-  }
+  [[nodiscard]] Location location() const { return {line_, column_}; }
 
  private:
   std::string_view text_;
@@ -75,8 +78,14 @@ class TurtleParser {
   }
 
  private:
-  Status Fail(std::string_view what) {
-    return ParseError(std::string(what) + " at " + cur_.Where());
+  Status Fail(std::string_view what) { return FailAt(what, cur_.location()); }
+
+  /// A token left open at end of input is reported where it opened, not
+  /// at the end of the input.
+  static Status FailAt(std::string_view what, Location at) {
+    return ParseError(std::string(what) + " at line " +
+                      std::to_string(at.line) + ", column " +
+                      std::to_string(at.column));
   }
 
   Status ParsePrefixDirective() {
@@ -84,9 +93,10 @@ class TurtleParser {
     std::string keyword = ReadWord();
     if (keyword != "prefix") return Fail("expected @prefix");
     cur_.SkipWhitespaceAndComments();
+    const Location opened = cur_.location();
     std::string name;
     while (!cur_.AtEnd() && cur_.Peek() != ':') name += cur_.Advance();
-    if (cur_.AtEnd()) return Fail("unterminated prefix name");
+    if (cur_.AtEnd()) return FailAt("unterminated prefix name", opened);
     cur_.Advance();  // ':'
     cur_.SkipWhitespaceAndComments();
     Term iri;
@@ -176,10 +186,11 @@ class TurtleParser {
 
   Status ParseIriRef(Term& out) {
     if (cur_.Peek() != '<') return Fail("expected '<'");
+    const Location opened = cur_.location();
     cur_.Advance();
     std::string iri;
     while (!cur_.AtEnd() && cur_.Peek() != '>') iri += cur_.Advance();
-    if (cur_.AtEnd()) return Fail("unterminated IRI");
+    if (cur_.AtEnd()) return FailAt("unterminated IRI", opened);
     cur_.Advance();  // '>'
     out = MakeIri(std::move(iri));
     return Status::Ok();
@@ -218,10 +229,11 @@ class TurtleParser {
   }
 
   Status ParseLiteral(Term& out) {
+    const Location opened = cur_.location();
     cur_.Advance();  // opening quote
     std::string value;
     for (;;) {
-      if (cur_.AtEnd()) return Fail("unterminated string literal");
+      if (cur_.AtEnd()) return FailAt("unterminated string literal", opened);
       char c = cur_.Advance();
       if (c == '\\') {
         if (cur_.AtEnd()) return Fail("dangling escape");

@@ -39,6 +39,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -353,6 +354,10 @@ class EngineCore {
     DataSize size{0.0};
     SimTime arrival{0.0};
     ThreadPlan plan;
+    /// EET per stage (Eq. 2): model.ThreadedTime(stage, plan[stage], size),
+    /// evaluated once at admission. Pricing, dispatch and the plan audit
+    /// read it instead of re-evaluating the model.
+    std::vector<double> stage_exec_tu;
     /// Times one of this job's tasks was lost and re-enqueued (the retry
     /// budget is per job across stages).
     int retries = 0;
@@ -444,12 +449,12 @@ class EngineCore {
     return (job_id << 8) | static_cast<std::uint64_t>(stage);
   }
 
-  /// The predictive hire-or-wait inequality for the head of `stage`'s
-  /// queue; true = hire public capacity now. Delegates to the shared
-  /// SchedulingPolicy with a snapshot of the stage queue. `eval` (may be
-  /// null) receives the priced inputs for the decision audit.
-  [[nodiscard]] bool PredictiveShouldHire(std::size_t stage, int threads,
-                                          DataSize head_size,
+  /// The predictive hire-or-wait inequality for `head`, the head of
+  /// `stage`'s queue; true = hire public capacity now. Delegates to the
+  /// shared SchedulingPolicy with a snapshot of the stage queue. `eval`
+  /// (may be null) receives the priced inputs for the decision audit.
+  [[nodiscard]] bool PredictiveShouldHire(std::size_t stage,
+                                          const JobState& head,
                                           HireEvaluation* eval = nullptr);
 
   /// Records one hire-vs-wait decision into the scan_obs audit log and
@@ -460,12 +465,13 @@ class EngineCore {
 
   /// Records the thread-allocation decision for a newly admitted job
   /// (no-op unless the decision audit is enabled).
-  void AuditPlan(std::uint64_t job_id, DataSize size, const ThreadPlan& plan);
+  void AuditPlan(const JobState& job);
   /// Earliest time an existing busy worker frees; nullopt if none busy.
   [[nodiscard]] std::optional<SimTime> NextWorkerFreeTime() const;
-  /// Snapshot of `stage`'s queue for the policy's delay-cost evaluation.
-  [[nodiscard]] std::vector<QueuedJobSnapshot> SnapshotQueue(
-      std::size_t stage) const;
+  /// Snapshot of `stage`'s queue for the policy's delay-cost evaluation,
+  /// written into snapshot_; valid until the next call.
+  [[nodiscard]] std::span<const QueuedJobSnapshot> SnapshotQueue(
+      std::size_t stage);
 
   /// The candidate-index view of one worker (key derives from its id).
   [[nodiscard]] static WorkerIndex::IdleEntry IdleEntryFor(
@@ -503,6 +509,9 @@ class EngineCore {
 
   std::vector<std::deque<std::uint64_t>> queues_;  ///< job ids per stage
   std::unordered_map<std::uint64_t, JobState> jobs_;
+  /// SnapshotQueue's reused buffer: one allocation per high-water mark,
+  /// not one per hire-vs-wait decision.
+  std::vector<QueuedJobSnapshot> snapshot_;
   WorkerMap workers_;
   /// Incremental candidate index over workers_ (see worker_index.hpp);
   /// updated on every idle/busy transition, replacing per-decision scans.

@@ -1,24 +1,24 @@
 #pragma once
 
-// The scheduler's time estimators (§III-A-2, Eq. 2):
+// The queue-wait half of the scheduler's time estimate (§III-A-2, Eq. 2):
 //
 //   ETT(j) = elapsed_j + sum_{i >= S_j} (EQT_i + EET_i(j))
-//
-// EET_i — estimated execution time of stage i — is "a linear function of
-// the number of job input records derived from profiling data": we evaluate
-// the (possibly regression-fitted) PipelineModel at the job's planned
-// thread count.
 //
 // EQT_i — estimated queueing time for stage i — is maintained online as an
 // exponentially weighted moving average of observed waits, so the estimate
 // tracks load changes.
+//
+// EET_i — estimated execution time of stage i — is "a linear function of
+// the number of job input records derived from profiling data": the engine
+// evaluates the (possibly regression-fitted) PipelineModel at the job's
+// planned thread count once, at admission, and the policy sums the cached
+// values (SchedulingPolicy::QueueDelayCost). The from-the-model reference
+// of the whole sum lives in scan_testkit (testkit/eq2_reference.hpp).
 
-#include <span>
 #include <vector>
 
 #include "scan/common/stats.hpp"
 #include "scan/common/units.hpp"
-#include "scan/gatk/pipeline_model.hpp"
 
 namespace scan::core {
 
@@ -39,23 +39,5 @@ class QueueTimeEstimator {
  private:
   std::vector<Ewma> ewmas_;
 };
-
-/// Estimated Total Time of a job (Eq. 2).
-///
-/// `elapsed` is the time since the job entered the system; `current_stage`
-/// is the stage it is queued for (0-based); `thread_plan` holds the planned
-/// thread count per stage.
-[[nodiscard]] SimTime EstimateTotalTime(const gatk::PipelineModel& model,
-                                        const QueueTimeEstimator& queues,
-                                        DataSize job_size, SimTime elapsed,
-                                        std::size_t current_stage,
-                                        std::span<const int> thread_plan);
-
-/// Remaining time only (queue + execution for stages >= current_stage).
-[[nodiscard]] SimTime EstimateRemainingTime(const gatk::PipelineModel& model,
-                                            const QueueTimeEstimator& queues,
-                                            DataSize job_size,
-                                            std::size_t current_stage,
-                                            std::span<const int> thread_plan);
 
 }  // namespace scan::core

@@ -54,8 +54,9 @@ struct QueuedJobSnapshot {
   SimTime elapsed{0.0};
   /// Stage the job is queued for (0-based).
   std::size_t stage = 0;
-  /// The job's planned thread count per stage.
-  std::span<const int> plan;
+  /// EET_i (Eq. 2) per pipeline stage: the modeled execution time at the
+  /// job's planned thread count, cached once when the job was admitted.
+  std::span<const double> stage_exec_tu;
 };
 
 /// The shared decision core. Construct once per run; drive in event order.
@@ -80,21 +81,23 @@ class SchedulingPolicy {
   /// Feeds an observed dispatch wait into the per-stage EWMA (Eq. 2's EQT).
   void ObserveQueueWait(std::size_t stage, SimTime wait);
 
-  /// Delay cost (Eq. 1) of delaying every job in `queue` by `delay`.
+  /// Delay cost (Eq. 1) of delaying every job in `queue` by `delay`. Each
+  /// job's ETT (Eq. 2) sums the EQT estimates, read once per call, with
+  /// the job's cached EET values; the model is not evaluated.
   [[nodiscard]] double QueueDelayCost(std::span<const QueuedJobSnapshot> queue,
                                       SimTime delay) const;
 
   /// The predictive hire-or-wait inequality for the head of a stage queue:
-  /// true = hire public capacity now. `next_free_delay` is the time until
-  /// the earliest busy worker frees (nullopt when none is busy — waiting
-  /// cannot help, so the answer is always "hire"). When `eval` is non-null
-  /// the priced inputs are copied out for the decision audit; passing it
-  /// never changes the decision.
+  /// true = hire public capacity now. `head_exec` is the head's cached
+  /// execution time for `stage` at `threads`. `next_free_delay` is the
+  /// time until the earliest busy worker frees (nullopt when none is busy
+  /// — waiting cannot help, so the answer is always "hire"). When `eval`
+  /// is non-null the priced inputs are copied out for the decision audit;
+  /// passing it never changes the decision.
   [[nodiscard]] bool PredictiveShouldHire(
-      std::span<const QueuedJobSnapshot> queue, std::size_t stage,
-      int threads, DataSize head_size,
-      std::optional<SimTime> next_free_delay, SimTime boot_penalty,
-      HireEvaluation* eval = nullptr) const;
+      std::span<const QueuedJobSnapshot> queue, int threads,
+      SimTime head_exec, std::optional<SimTime> next_free_delay,
+      SimTime boot_penalty, HireEvaluation* eval = nullptr) const;
 
   /// Core price per TU the plan optimizers assume (for the plan audit):
   /// the midpoint of the private and public tier prices.

@@ -213,11 +213,14 @@ void EngineCore::AdmitJobs(const std::vector<workload::Job>& jobs) {
     state.arrival = job.arrival;
     state.plan = PlanFor(job.size);
     state.stages_remaining = model.stage_count();
+    state.stage_exec_tu.resize(model.stage_count());
     state.tasks.resize(model.stage_count());
     for (std::size_t stage = 0; stage < model.stage_count(); ++stage) {
+      state.stage_exec_tu[stage] =
+          model.ThreadedTime(stage, state.plan[stage], job.size).value();
       state.tasks[stage].remaining_deps = model.deps(stage).size();
     }
-    if (obs::AuditEnabled()) AuditPlan(job.id, job.size, state.plan);
+    if (obs::AuditEnabled()) AuditPlan(state);
     jobs_.emplace(job.id, std::move(state));
     // Every zero-in-degree stage is ready on arrival (stage 0 alone for
     // the linear chain; all of them for a bag of tasks).
@@ -246,21 +249,18 @@ void EngineCore::NotifyOutcome(std::uint64_t job_id, bool completed,
   AdmitJobs(ingest_->OnJobOutcome(outcome));
 }
 
-void EngineCore::AuditPlan(std::uint64_t job_id, DataSize size,
-                           const ThreadPlan& plan) {
+void EngineCore::AuditPlan(const JobState& job) {
   obs::PlanDecisionRecord rec;
   rec.time_tu = Now().value();
-  rec.job_id = job_id;
-  rec.size_du = size.value();
+  rec.job_id = job.id;
+  rec.size_du = job.size.value();
   rec.allocation = AllocationAlgorithmName(config_.allocation);
-  rec.plan = plan;
+  rec.plan = job.plan;
   rec.price_hint = policy_.price_hint();
   double exec = 0.0;
-  for (std::size_t stage = 0; stage < plan.size(); ++stage) {
-    exec += policy_.model().ThreadedTime(stage, plan[stage], size).value();
-  }
+  for (const double stage_exec : job.stage_exec_tu) exec += stage_exec;
   rec.predicted_exec_tu = exec;
-  rec.predicted_reward = policy_.reward()(size, SimTime{exec}).value();
+  rec.predicted_reward = policy_.reward()(job.size, SimTime{exec}).value();
   obs::DecisionAudit::Global().RecordPlan(std::move(rec));
 }
 
@@ -431,7 +431,7 @@ bool EngineCore::TryDispatchHead(std::size_t stage) {
       case ScalingAlgorithm::kAlwaysScale:
         break;
       case ScalingAlgorithm::kPredictive:
-        if (!PredictiveShouldHire(stage, threads, job.size, &eval)) {
+        if (!PredictiveShouldHire(stage, job, &eval)) {
           AuditHire(obs::HireChoice::kWait, stage, job, threads, queue_len,
                     &eval);
           return false;
@@ -498,8 +498,10 @@ void EngineCore::AssignTask(std::uint64_t job_id, std::size_t stage,
     pmetrics_.busy_workers->Add(1.0);
   }
 
-  const SimTime full_exec =
-      policy_.model().ThreadedTime(stage, worker.threads, job.size);
+  // Every dispatch path configures the worker to the planned thread
+  // count, so the admission-time EET is this assignment's modeled time.
+  assert(worker.threads == job.plan[stage]);
+  const SimTime full_exec{job.stage_exec_tu[stage]};
   // Checkpoint resume: a retried stage only executes its unfinished
   // share. The branch keeps the arithmetic bit-identical to legacy when
   // nothing was checkpointed.
@@ -1022,17 +1024,16 @@ std::optional<SimTime> EngineCore::NextWorkerFreeTime() const {
   return SimTime{*earliest};
 }
 
-std::vector<QueuedJobSnapshot> EngineCore::SnapshotQueue(
-    std::size_t stage) const {
-  std::vector<QueuedJobSnapshot> snapshot;
-  snapshot.reserve(queues_[stage].size());
+std::span<const QueuedJobSnapshot> EngineCore::SnapshotQueue(
+    std::size_t stage) {
+  snapshot_.clear();
   const SimTime now = Now();
   for (const std::uint64_t job_id : queues_[stage]) {
     const JobState& job = jobs_.at(job_id);
-    snapshot.push_back({job.size, now - job.arrival, stage,
-                        std::span<const int>(job.plan)});
+    snapshot_.push_back({job.size, now - job.arrival, stage,
+                         std::span<const double>(job.stage_exec_tu)});
   }
-  return snapshot;
+  return snapshot_;
 }
 
 void EngineCore::SampleTimeline() {
@@ -1049,16 +1050,16 @@ void EngineCore::SampleTimeline() {
   metrics_.timeline.push_back(point);
 }
 
-bool EngineCore::PredictiveShouldHire(std::size_t stage, int threads,
-                                      DataSize head_size,
+bool EngineCore::PredictiveShouldHire(std::size_t stage, const JobState& head,
                                       HireEvaluation* eval) {
   std::optional<SimTime> next_free_delay;
   if (const auto next_free = NextWorkerFreeTime()) {
     next_free_delay = *next_free - Now();
   }
-  return policy_.PredictiveShouldHire(SnapshotQueue(stage), stage, threads,
-                                      head_size, next_free_delay,
-                                      cloud_.config().boot_penalty, eval);
+  return policy_.PredictiveShouldHire(
+      SnapshotQueue(stage), head.plan[stage],
+      SimTime{head.stage_exec_tu[stage]}, next_free_delay,
+      cloud_.config().boot_penalty, eval);
 }
 
 }  // namespace scan::core

@@ -1,5 +1,6 @@
 #include "scan/core/policy.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "scan/fault/retry.hpp"
@@ -68,19 +69,33 @@ void SchedulingPolicy::ObserveQueueWait(std::size_t stage, SimTime wait) {
 
 double SchedulingPolicy::QueueDelayCost(
     std::span<const QueuedJobSnapshot> queue, SimTime delay) const {
+  const std::size_t stages = model_.stage_count();
+  std::array<double, gatk::PipelineModel::kMaxStages> eqt{};
+  for (std::size_t i = 0; i < stages; ++i) {
+    eqt[i] = queue_estimator_.Estimate(i).value();
+  }
   double total = 0.0;
   for (const QueuedJobSnapshot& job : queue) {
-    const SimTime ett = EstimateTotalTime(model_, queue_estimator_, job.size,
-                                          job.elapsed, job.stage, job.plan);
+    if (job.stage_exec_tu.size() != stages) {
+      throw std::invalid_argument("QueueDelayCost: stage time size mismatch");
+    }
+    // Eq. 2 in the reference's interleaved order (EQT_i, then EET_i):
+    // a suffix sum would reassociate the adds and move the last ulp.
+    double remaining = 0.0;
+    for (std::size_t i = job.stage; i < stages; ++i) {
+      remaining += eqt[i];
+      remaining += job.stage_exec_tu[i];
+    }
+    const SimTime ett = job.elapsed + SimTime{remaining};
     total += reward_.DelayCost(job.size, ett, delay).value();
   }
   return total;
 }
 
 bool SchedulingPolicy::PredictiveShouldHire(
-    std::span<const QueuedJobSnapshot> queue, std::size_t stage, int threads,
-    DataSize head_size, std::optional<SimTime> next_free_delay,
-    SimTime boot_penalty, HireEvaluation* eval) const {
+    std::span<const QueuedJobSnapshot> queue, int threads, SimTime head_exec,
+    std::optional<SimTime> next_free_delay, SimTime boot_penalty,
+    HireEvaluation* eval) const {
   if (!next_free_delay) {
     // Nothing running: waiting cannot help.
     if (eval) eval->hire = true;
@@ -97,8 +112,7 @@ bool SchedulingPolicy::PredictiveShouldHire(
   // penalty is paid once regardless of crashes. When the factor is
   // exactly 1.0 (no crash rate) the arithmetic below reproduces the
   // legacy expression bit for bit.
-  const double exec_tu =
-      model_.ThreadedTime(stage, threads, head_size).value();
+  const double exec_tu = head_exec.value();
   const double rework = fault::ExpectedReworkFactor(
       config_.worker_failure_rate, exec_tu,
       config_.fault.checkpoint_interval.value());

@@ -3,6 +3,7 @@
 #include "scan/core/allocation.hpp"
 #include "scan/core/config.hpp"
 #include "scan/core/estimators.hpp"
+#include "scan/testkit/eq2_reference.hpp"
 
 namespace scan::core {
 namespace {
@@ -98,7 +99,7 @@ TEST(EstimatorsTest, EttIsElapsedPlusRemaining) {
   QueueTimeEstimator queues(model.stage_count());
   queues.Observe(3, SimTime{2.0});
   const std::vector<int> plan(7, 1);
-  const SimTime remaining = EstimateRemainingTime(
+  const SimTime remaining = testkit::EstimateRemainingTime(
       model, queues, DataSize{5.0}, /*current_stage=*/3, plan);
   // Stages 3..6 execution plus 2.0 queue estimate at stage 3 only.
   double expected = 2.0;
@@ -106,8 +107,8 @@ TEST(EstimatorsTest, EttIsElapsedPlusRemaining) {
     expected += model.SingleThreadedTime(i, DataSize{5.0}).value();
   }
   EXPECT_NEAR(remaining.value(), expected, 1e-12);
-  const SimTime ett = EstimateTotalTime(model, queues, DataSize{5.0},
-                                        SimTime{11.0}, 3, plan);
+  const SimTime ett = testkit::EstimateTotalTime(
+      model, queues, DataSize{5.0}, SimTime{11.0}, 3, plan);
   EXPECT_NEAR(ett.value(), expected + 11.0, 1e-12);
 }
 
@@ -115,8 +116,9 @@ TEST(EstimatorsTest, PlanSizeValidated) {
   const auto model = gatk::PipelineModel::PaperGatk();
   QueueTimeEstimator queues(model.stage_count());
   const std::vector<int> short_plan(3, 1);
-  EXPECT_THROW((void)EstimateRemainingTime(model, queues, DataSize{1.0}, 0,
-                                           short_plan),
+  EXPECT_THROW((void)testkit::EstimateRemainingTime(model, queues,
+                                                    DataSize{1.0}, 0,
+                                                    short_plan),
                std::invalid_argument);
 }
 

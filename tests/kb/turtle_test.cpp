@@ -118,6 +118,29 @@ TEST(TurtleParseTest, UnterminatedIriFails) {
   EXPECT_FALSE(ParseTurtle("<http://unclosed", store).ok());
 }
 
+TEST(TurtleParseTest, UnterminatedIriReportsWhereItOpens) {
+  TripleStore store;
+  const auto status =
+      ParseTurtle("<http://s> <http://p>\n  <http://unclosed .\n\n", store);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), ErrorCode::kParseError);
+  EXPECT_NE(status.message().find("unterminated IRI at line 2, column 3"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(TurtleParseTest, UnterminatedLiteralReportsWhereItOpens) {
+  TripleStore store;
+  const auto status = ParseTurtle(
+      "@prefix ex: <http://e/> .\nex:s ex:p \"never closed .\n\n", store);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), ErrorCode::kParseError);
+  EXPECT_NE(
+      status.message().find("unterminated string literal at line 2, column 11"),
+      std::string::npos)
+      << status.message();
+}
+
 TEST(TurtleParseTest, EmptyInputIsOk) {
   TripleStore store;
   EXPECT_TRUE(ParseTurtle("", store).ok());
