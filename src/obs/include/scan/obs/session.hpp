@@ -35,9 +35,12 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  /// Exports every enabled subsystem to its path and disables collection.
-  /// Idempotent; export failures go to stderr (observability must never
-  /// fail the exhibit).
+  /// Disables every enabled subsystem, then exports each to its path: the
+  /// audit JSONL on a second thread while the calling thread writes the
+  /// trace and then the metrics; returns after both are done. Each file
+  /// has exactly one writer. Idempotent; each failed export is reported
+  /// on stderr for its own path (observability must never fail the
+  /// exhibit).
   void Finish();
 
   /// True when any subsystem was enabled by this session.

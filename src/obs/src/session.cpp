@@ -1,6 +1,8 @@
 #include "scan/obs/session.hpp"
 
 #include <cstdio>
+#include <exception>
+#include <thread>
 
 #include "scan/common/log.hpp"
 #include "scan/common/str.hpp"
@@ -42,9 +44,28 @@ ObsSession::~ObsSession() { Finish(); }
 void ObsSession::Finish() {
   if (finished_) return;
   finished_ = true;
+  // Collection stops everywhere before any export starts, so the exports
+  // read quiescent state and can run side by side.
+  if (trace_on_) TraceRecorder::Global().Disable();
+  if (metrics_on_) DisableMetrics();
+  if (audit_on_) DecisionAudit::Global().Disable();
+
+  // The audit log goes out on its own thread while this one writes the
+  // trace and the metrics; each file has exactly one writer.
+  bool audit_ok = true;
+  std::exception_ptr audit_error;
+  std::jthread audit_export;
+  if (audit_on_) {
+    audit_export = std::jthread([&] {
+      try {
+        audit_ok = DecisionAudit::Global().ExportJsonl(options_.audit_path);
+      } catch (...) {
+        audit_error = std::current_exception();
+      }
+    });
+  }
   if (trace_on_) {
-    TraceRecorder& recorder = TraceRecorder::Global();
-    recorder.Disable();
+    const TraceRecorder& recorder = TraceRecorder::Global();
     const bool jsonl = EndsWith(options_.trace_path, ".jsonl");
     const bool ok = jsonl ? recorder.ExportJsonl(options_.trace_path)
                           : recorder.ExportChromeJson(options_.trace_path);
@@ -54,7 +75,6 @@ void ObsSession::Finish() {
     }
   }
   if (metrics_on_) {
-    DisableMetrics();
     ExportWriter out(options_.metrics_path);
     if (EndsWith(options_.metrics_path, ".json")) {
       MetricsRegistry::Global().WriteJsonSnapshot(out);
@@ -66,9 +86,10 @@ void ObsSession::Finish() {
                    options_.metrics_path.c_str());
     }
   }
-  if (audit_on_) {
-    DecisionAudit::Global().Disable();
-    if (!DecisionAudit::Global().ExportJsonl(options_.audit_path)) {
+  if (audit_export.joinable()) {
+    audit_export.join();
+    if (audit_error) std::rethrow_exception(audit_error);
+    if (!audit_ok) {
       std::fprintf(stderr, "obs: failed to write audit log to %s\n",
                    options_.audit_path.c_str());
     }

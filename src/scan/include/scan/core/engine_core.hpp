@@ -418,8 +418,8 @@ class EngineCore {
   void TryDispatchAll();
   /// Attempts to dispatch the head of one stage queue; true on success.
   bool TryDispatchHead(std::size_t stage);
-  void AssignTask(std::uint64_t job_id, std::size_t stage,
-                  WorkerBook& worker, SimTime start_time);
+  void AssignTask(JobState& job, std::size_t stage, WorkerBook& worker,
+                  SimTime start_time);
   /// The worker crashed mid-task: bill and discard it, then recover the
   /// interrupted assignment (checkpoint resume, retry budget, backoff).
   void OnWorkerFailure(const TaskEnd& end);
@@ -507,7 +507,10 @@ class EngineCore {
   std::vector<workload::ArrivalBatch> trace_batches_;
   std::size_t next_trace_batch_ = 0;
 
-  std::vector<std::deque<std::uint64_t>> queues_;  ///< job ids per stage
+  /// Queued jobs per stage. Map nodes are stable and a job leaves every
+  /// queue before it leaves jobs_, so the pointers never dangle; pricing
+  /// and dispatch read the job without a hash lookup.
+  std::vector<std::deque<JobState*>> queues_;
   std::unordered_map<std::uint64_t, JobState> jobs_;
   /// SnapshotQueue's reused buffer: one allocation per high-water mark,
   /// not one per hire-vs-wait decision.

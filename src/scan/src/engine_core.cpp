@@ -79,9 +79,8 @@ SchedulerView EngineCore::BuildView(SimTime when, std::uint64_t seq) const {
   for (std::size_t stage = 0; stage < queues_.size(); ++stage) {
     std::vector<QueuedTaskView> tasks;
     tasks.reserve(queues_[stage].size());
-    for (const std::uint64_t job_id : queues_[stage]) {
-      const JobState& job = jobs_.at(job_id);
-      tasks.push_back({job_id, stage, job.tasks[stage].enqueued_at});
+    for (const JobState* job : queues_[stage]) {
+      tasks.push_back({job->id, stage, job->tasks[stage].enqueued_at});
     }
     view.queues.push_back(std::move(tasks));
   }
@@ -308,7 +307,7 @@ void EngineCore::EnqueueTask(std::uint64_t job_id, std::size_t stage,
   StageTask& task = job.tasks[stage];
   task.enqueued_at = Now();
   task.enqueue_parent_span = parent_span;
-  queues_[stage].push_back(job_id);
+  queues_[stage].push_back(&job);
   if (obs::TraceEnabled()) {
     // A speculative copy (flagged by the caller before this enqueue) gets
     // the copy-bit attempt span so the duplicate is its own graph node.
@@ -354,8 +353,8 @@ void EngineCore::TryDispatchAll() {
 }
 
 bool EngineCore::TryDispatchHead(std::size_t stage) {
-  const std::uint64_t job_id = queues_[stage].front();
-  JobState& job = jobs_.at(job_id);
+  JobState& job = *queues_[stage].front();
+  const std::uint64_t job_id = job.id;
   const int threads = job.plan[stage];
   const SimTime now = Now();
   const std::size_t queue_len = queues_[stage].size();
@@ -376,7 +375,7 @@ bool EngineCore::TryDispatchHead(std::size_t stage) {
       AuditHire(obs::HireChoice::kReuseIdle, stage, job, threads, queue_len,
                 nullptr);
       queues_[stage].pop_front();
-      AssignTask(job_id, stage, worker, now);
+      AssignTask(job, stage, worker, now);
       return true;
     }
   }
@@ -409,7 +408,7 @@ bool EngineCore::TryDispatchHead(std::size_t stage) {
       AuditHire(obs::HireChoice::kReconfigure, stage, job, threads, queue_len,
                 nullptr);
       queues_[stage].pop_front();
-      AssignTask(job_id, stage, worker, now + delay.value());
+      AssignTask(job, stage, worker, now + delay.value());
       return true;
     }
   }
@@ -469,13 +468,13 @@ bool EngineCore::TryDispatchHead(std::size_t stage) {
                    obs::JobSpan(job_id));
   }
   queues_[stage].pop_front();
-  AssignTask(job_id, stage, workers_.at(key), now + delay.value());
+  AssignTask(job, stage, workers_.at(key), now + delay.value());
   return true;
 }
 
-void EngineCore::AssignTask(std::uint64_t job_id, std::size_t stage,
+void EngineCore::AssignTask(JobState& job, std::size_t stage,
                             WorkerBook& worker, SimTime start_time) {
-  JobState& job = jobs_.at(job_id);
+  const std::uint64_t job_id = job.id;
   StageTask& task = job.tasks[stage];
   // A queued speculative copy is consumed by whichever dispatch reaches
   // the task first; it must not spawn a second speculation check.
@@ -786,7 +785,7 @@ void EngineCore::AbandonJob(std::uint64_t job_id) {
   for (std::size_t stage = 0; stage < queues_.size(); ++stage) {
     auto& queue = queues_[stage];
     for (auto it = queue.begin(); it != queue.end();) {
-      if (*it == job_id) {
+      if ((*it)->id == job_id) {
         it = queue.erase(it);
         speculative_queued_.erase(TaskKey(job_id, stage));
         if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
@@ -886,7 +885,7 @@ void EngineCore::OnTaskComplete(const TaskEnd& end) {
   // A speculative copy still sitting in the queue is moot now.
   if (speculative_queued_.erase(TaskKey(job_id, stage)) > 0) {
     auto& queue = queues_[stage];
-    const auto entry = std::find(queue.begin(), queue.end(), job_id);
+    const auto entry = std::find(queue.begin(), queue.end(), &job);
     assert(entry != queue.end());
     queue.erase(entry);
     if (obs::MetricsEnabled()) pmetrics_.queued_jobs->Add(-1.0);
@@ -1028,10 +1027,9 @@ std::span<const QueuedJobSnapshot> EngineCore::SnapshotQueue(
     std::size_t stage) {
   snapshot_.clear();
   const SimTime now = Now();
-  for (const std::uint64_t job_id : queues_[stage]) {
-    const JobState& job = jobs_.at(job_id);
-    snapshot_.push_back({job.size, now - job.arrival, stage,
-                         std::span<const double>(job.stage_exec_tu)});
+  for (const JobState* job : queues_[stage]) {
+    snapshot_.push_back({job->size, now - job->arrival, stage,
+                         std::span<const double>(job->stage_exec_tu)});
   }
   return snapshot_;
 }

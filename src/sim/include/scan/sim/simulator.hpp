@@ -46,8 +46,11 @@ class EventId {
 
  private:
   friend class Simulator;
-  constexpr explicit EventId(std::uint64_t seq) : seq_(seq) {}
+  constexpr EventId(std::uint64_t seq, double when) : seq_(seq), when_(when) {}
   std::uint64_t seq_ = 0;
+  /// Scheduled time: with seq, the event's calendar key, which tells
+  /// Cancel whether the event has already been popped.
+  double when_ = 0.0;
 };
 
 /// Engine statistics, exposed for tests and microbenchmarks.
@@ -94,7 +97,7 @@ class Simulator {
     const std::uint64_t seq = next_seq_++;
     calendar_.Push(when.value(), seq, std::forward<F>(cb));
     ++stats_.events_scheduled;
-    return EventId{seq};
+    return EventId{seq, when.value()};
   }
 
   /// Schedules `cb` after a non-negative delay from Now().
@@ -115,7 +118,8 @@ class Simulator {
 
   /// Runs events in time order until the calendar empties or the next
   /// event lies beyond `horizon`. The clock is left at the last executed
-  /// event time (or at `horizon` if the calendar still has later events).
+  /// event time (or at `horizon` if the calendar still has later events
+  /// and `horizon` is ahead of the clock; it never moves back).
   void RunUntil(SimTime horizon);
 
   /// Runs until the calendar is empty.
@@ -159,9 +163,21 @@ class Simulator {
   static Callback MakePeriodicFire(std::shared_ptr<PeriodicState> state);
 
   void PopAndRun();
+  /// Pops the calendar minimum and records its key as the last popped.
+  LadderCalendar::Entry PopMin();
+  /// True if the event has left the calendar (fired or dropped). Keys pop
+  /// in ascending (when, seq) order and nothing is scheduled before Now(),
+  /// so every key up to the last popped one has left.
+  [[nodiscard]] bool Popped(EventId id) const {
+    return id.when_ < popped_when_ ||
+           (id.when_ == popped_when_ && id.seq_ <= popped_seq_);
+  }
 
   SimTime now_{0.0};
   std::uint64_t next_seq_ = 1;
+  /// Key (when, seq) of the last event popped from the calendar.
+  double popped_when_ = -std::numeric_limits<double>::infinity();
+  std::uint64_t popped_seq_ = 0;
   // Mutable: const peeks (NextEventTime) may advance the ladder window,
   // which reorders storage but never observable state.
   mutable LadderCalendar calendar_;

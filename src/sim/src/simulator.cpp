@@ -12,16 +12,25 @@ bool Simulator::Cancel(EventId id) {
   if (!id.valid() || id.seq_ >= next_seq_) return false;
   // Periodic handles cancel their recurrence state instead.
   for (auto& p : periodics_) {
-    if (p->handle_seq == id.seq_ && !p->cancelled) {
+    if (p->handle_seq == id.seq_) {
+      if (p->cancelled) return false;
       p->cancelled = true;
       ++stats_.events_cancelled;
       return true;
     }
   }
-  const auto [it, inserted] = cancelled_.insert(id.seq_);
-  (void)it;
-  if (inserted) ++stats_.events_cancelled;
-  return inserted;
+  // A fired event must not enter cancelled_: the stale seq would never be
+  // popped again and would make Empty() discount a live event.
+  if (Popped(id) || !cancelled_.insert(id.seq_).second) return false;
+  ++stats_.events_cancelled;
+  return true;
+}
+
+LadderCalendar::Entry Simulator::PopMin() {
+  const LadderCalendar::Entry entry = calendar_.PopMin();
+  popped_when_ = entry.when;
+  popped_seq_ = entry.seq;
+  return entry;
 }
 
 Simulator::Callback Simulator::MakePeriodicFire(
@@ -49,7 +58,7 @@ EventId Simulator::SchedulePeriodic(SimTime period, Callback cb) {
 }
 
 void Simulator::PopAndRun() {
-  LadderCalendar::Entry entry = calendar_.PopMin();
+  const LadderCalendar::Entry entry = PopMin();
   if (!cancelled_.empty() && cancelled_.erase(entry.seq) > 0) {
     calendar_.ReleaseNode(entry.node);
     return;  // lazily-deleted event
@@ -75,12 +84,12 @@ void Simulator::RunUntil(SimTime horizon) {
     const LadderCalendar::Entry& next = calendar_.PeekMin();
     if (!cancelled_.empty() && cancelled_.contains(next.seq)) {
       cancelled_.erase(next.seq);
-      const LadderCalendar::Entry dead = calendar_.PopMin();
+      const LadderCalendar::Entry dead = PopMin();
       calendar_.ReleaseNode(dead.node);
       continue;
     }
     if (SimTime{next.when} > horizon) {
-      now_ = horizon;
+      if (horizon > now_) now_ = horizon;  // never rewind the clock
       return;
     }
     PopAndRun();
@@ -95,7 +104,7 @@ bool Simulator::Step() {
     const LadderCalendar::Entry& next = calendar_.PeekMin();
     if (!cancelled_.empty() && cancelled_.contains(next.seq)) {
       cancelled_.erase(next.seq);
-      const LadderCalendar::Entry dead = calendar_.PopMin();
+      const LadderCalendar::Entry dead = PopMin();
       calendar_.ReleaseNode(dead.node);
       continue;
     }

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "scan/obs/audit.hpp"
+#include "scan/testkit/digest.hpp"
 #include "scan/testkit/golden.hpp"
 
 namespace scan::core {
@@ -54,6 +59,37 @@ TEST(GoldenDigest, CanonicalFig4CellIsSeedStable) {
   EXPECT_EQ(run.fingerprint.digest, kGoldenFingerprint)
       << "re-pin from this fingerprint if the change is intentional:\n"
       << run.fingerprint.ToString();
+}
+
+// The metrics and the event trace can absorb a one-ulp drift in the Eq. 1
+// prices when no hire-vs-wait outcome flips; the audited prices cannot.
+constexpr std::uint64_t kGoldenPricingDigest = 16071931412283064627ULL;
+constexpr std::size_t kGoldenPricedDecisions = 16726;
+
+TEST(GoldenDigest, CanonicalCellPricesAreBitStable) {
+  const SimulationConfig config = CanonicalConfig();
+  obs::DecisionAudit& audit = obs::DecisionAudit::Global();
+  audit.Clear();
+  audit.Enable();
+  const testkit::InstrumentedRun run =
+      testkit::RunInstrumented(config, config.SeedFor(0));
+  audit.Disable();
+  const std::vector<obs::HireDecisionRecord> hires = audit.hires();
+  audit.Clear();
+
+  testkit::Fnv1aDigest prices;
+  std::size_t priced = 0;
+  for (const obs::HireDecisionRecord& hire : hires) {
+    if (std::isnan(hire.delay_cost)) continue;
+    ++priced;
+    prices.MixDouble(hire.delay_cost);
+    prices.MixDouble(hire.hire_cost);
+  }
+  EXPECT_EQ(run.fingerprint.digest, kGoldenFingerprint);
+  EXPECT_EQ(priced, kGoldenPricedDecisions);
+  EXPECT_EQ(prices.value(), kGoldenPricingDigest)
+      << "Eq. 1 delay or hire cost drifted over " << priced
+      << " priced decisions";
 }
 
 TEST(GoldenDigest, CanonicalCellReplaysIdentically) {

@@ -1,13 +1,16 @@
-// ExportWriter: the number-format contract (to_chars general with precision
-// 17, resp. 6, byte-identical to "%.17g", resp. "%g"), buffer-boundary
-// behaviour, and failure reporting — every exporter that streams through
-// the writer must report a full device instead of claiming success.
+// ExportWriter: the number-format contract (the FormatExact kernel, resp.
+// to_chars general with precision 6, byte-identical to "%.17g", resp.
+// "%g"), buffer-boundary behaviour, and failure reporting — every exporter
+// that streams through the writer must report a full device instead of
+// claiming success.
 
 #include "scan/obs/export_writer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +18,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "scan/common/str.hpp"
 #include "scan/obs/audit.hpp"
@@ -83,6 +87,83 @@ TEST(ExportWriterTest, DoublesMatchPrintfOnRandomBitPatterns) {
     ASSERT_EQ(Render(x, true), StrFormat("%.17g", x)) << i;
     ASSERT_EQ(Render(x, false), StrFormat("%g", x)) << i;
   }
+}
+
+std::string Kernel(double value) {
+  char text[kExactMaxChars];
+  return std::string(text, FormatExact(text, value));
+}
+
+/// The %.17g kernel against printf: random significands over every binary
+/// exponent of the fast range and a few beyond it on each side, and
+/// decimal-looking values (few digits, so trailing zeros get stripped).
+TEST(ExportWriterTest, ExactKernelMatchesPrintfOnSeededValues) {
+  std::mt19937_64 rng(20151019);
+  std::uniform_int_distribution<int> biased_exponent(1023 - 24, 1023 + 55);
+  std::uniform_int_distribution<int> decimals(0, 12);
+  std::uniform_int_distribution<std::int64_t> decimal_digits(1, 99'999'999);
+  for (int i = 0; i < 3'000'000; ++i) {
+    double x = 0.0;
+    if (i % 4 != 3) {
+      const std::uint64_t mantissa = rng() & ((std::uint64_t{1} << 52) - 1);
+      const auto exponent = static_cast<std::uint64_t>(biased_exponent(rng));
+      const std::uint64_t sign = (rng() & 1) << 63;
+      x = std::bit_cast<double>(sign | (exponent << 52) | mantissa);
+    } else {
+      x = static_cast<double>(decimal_digits(rng)) /
+          std::pow(10.0, decimals(rng));
+    }
+    ASSERT_EQ(Kernel(x), StrFormat("%.17g", x)) << i;
+  }
+}
+
+/// Both ends of the fast range, each power of ten and the fixed/exponent
+/// layout switch at 1e-4 and 1e-5, each at +-1 and +-2 ulp, both signs.
+TEST(ExportWriterTest, ExactKernelMatchesPrintfAtRangeEdges) {
+  std::vector<double> anchors = {1e-6, 0x1p52, 1e16, 0.5, 1.0, 2.0};
+  for (int k = -8; k <= 17; ++k) anchors.push_back(std::pow(10.0, k));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double anchor : anchors) {
+    double below = anchor;
+    double above = anchor;
+    for (int step = 0; step <= 2; ++step) {
+      for (const double x : {below, above, -below, -above}) {
+        EXPECT_EQ(Kernel(x), StrFormat("%.17g", x)) << x;
+      }
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, kInf);
+    }
+  }
+  EXPECT_EQ(Kernel(0.0), "0");
+  EXPECT_EQ(Kernel(-0.0), "-0");
+  EXPECT_EQ(Kernel(-0.1), "-0.10000000000000001");
+  EXPECT_EQ(Kernel(1.5e-5), "1.5e-05");
+}
+
+/// x = odd / 2^j with x in [10^X, 10^(X+1)) has exactly 18 significant
+/// digits ending in 5 when j = 17 - X: an exact tie at the 17th digit,
+/// which must round half-to-even as printf does.
+TEST(ExportWriterTest, ExactKernelRoundsHalfwayTiesToEven) {
+  EXPECT_EQ(Kernel(1234567890123456.25), "1234567890123456.2");
+  EXPECT_EQ(Kernel(1234567890123456.75), "1234567890123456.8");
+  std::mt19937_64 rng(7919);
+  int ties = 0;
+  for (int exp10 = -6; exp10 <= 15; ++exp10) {
+    const int j = 17 - exp10;
+    const double lo = std::ceil(std::ldexp(std::pow(10.0, exp10), j));
+    const double hi = std::min(std::ldexp(std::pow(10.0, exp10 + 1), j),
+                               0x1p53);
+    std::uniform_real_distribution<double> numerator(lo, hi);
+    for (int i = 0; i < 20000; ++i) {
+      const auto odd = static_cast<std::uint64_t>(numerator(rng)) | 1;
+      const double x = std::ldexp(static_cast<double>(odd), -j);
+      if (x < std::pow(10.0, exp10) || x >= std::pow(10.0, exp10 + 1)) continue;
+      ++ties;
+      ASSERT_EQ(Kernel(x), StrFormat("%.17g", x)) << exp10 << ' ' << odd;
+      ASSERT_EQ(Kernel(-x), StrFormat("%.17g", -x)) << exp10 << ' ' << odd;
+    }
+  }
+  EXPECT_GT(ties, 400000);
 }
 
 TEST(ExportWriterTest, IntegersMatchStreamInsertion) {
@@ -202,6 +283,58 @@ TEST_F(ExportFailureTest, SessionReportsEveryFailedExport) {
   EXPECT_NE(err.find("obs: failed to write audit log to /dev/full"),
             std::string::npos)
       << err;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The audit exports on its own thread beside the trace and metrics: a
+/// failed audit write is reported for the audit path alone, and the other
+/// two files come out exactly as a single-threaded render of the same
+/// state.
+TEST_F(ExportFailureTest, SessionWritesTraceAndMetricsBesideFailedAudit) {
+  const std::string trace_path = ::testing::TempDir() + "/session_trace.jsonl";
+  const std::string metrics_path = ::testing::TempDir() + "/session.prom";
+  ObsOptions options;
+  options.trace_path = trace_path;
+  options.metrics_path = metrics_path;
+  options.audit_path = kFullDevice;
+  ObsSession session(options);
+  for (int i = 0; i < 5000; ++i) {
+    TraceEmit(EventKind::kStageExec, i * 0.1, 0, static_cast<std::uint64_t>(i),
+              1, 4.0, i / 3.0);
+    HireDecisionRecord hire;
+    hire.time_tu = i * 0.1;
+    hire.scaling = "predictive";
+    DecisionAudit::Global().RecordHire(hire);
+  }
+  MetricsRegistry::Global()
+      .GetCounter("obs_session_export_total", "Concurrent export test")
+      .Increment();
+  ::testing::internal::CaptureStderr();
+  session.Finish();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err, "obs: failed to write audit log to /dev/full\n");
+
+  const std::string expected_trace_path =
+      ::testing::TempDir() + "/session_trace_expected.jsonl";
+  ASSERT_TRUE(TraceRecorder::Global().ExportJsonl(expected_trace_path));
+  const std::string trace = ReadFile(trace_path);
+  EXPECT_EQ(trace.size(), ReadFile(expected_trace_path).size());
+  EXPECT_EQ(trace, ReadFile(expected_trace_path));
+  EXPECT_NE(trace.find("\"dur\":1666.3333333333333"), std::string::npos);
+  const std::string metrics = ReadFile(metrics_path);
+  EXPECT_EQ(metrics, WriteToString([](ExportWriter& out) {
+              MetricsRegistry::Global().WritePrometheusText(out);
+            }));
+  EXPECT_NE(metrics.find("obs_session_export_total 1\n"), std::string::npos);
+  std::remove(trace_path.c_str());
+  std::remove(expected_trace_path.c_str());
+  std::remove(metrics_path.c_str());
 }
 
 }  // namespace

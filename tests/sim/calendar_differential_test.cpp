@@ -37,8 +37,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------------
 // Reference engine: the pre-ladder Simulator, line for line, over the
-// retained priority-queue calendar. Kept inside the test so the production
-// header stays free of test-only machinery.
+// retained priority-queue calendar, except that Cancel refuses an event
+// that already left the calendar by looking its seq up in an explicit set
+// of popped seqs. Kept inside the test so the production header stays free
+// of test-only machinery.
 
 class RefSim {
  public:
@@ -70,12 +72,14 @@ class RefSim {
   bool Cancel(std::uint64_t seq) {
     if (seq == 0 || seq >= next_seq_) return false;
     for (auto& p : periodics_) {
-      if (p->handle_seq == seq && !p->cancelled) {
+      if (p->handle_seq == seq) {
+        if (p->cancelled) return false;
         p->cancelled = true;
         ++stats_.cancelled;
         return true;
       }
     }
+    if (popped_.contains(seq)) return false;
     const auto [it, inserted] = cancelled_.insert(seq);
     (void)it;
     if (inserted) ++stats_.cancelled;
@@ -96,11 +100,11 @@ class RefSim {
       const auto& next = calendar_.PeekMin();
       if (!cancelled_.empty() && cancelled_.contains(next.seq)) {
         cancelled_.erase(next.seq);
-        (void)calendar_.PopMin();
+        popped_.insert(calendar_.PopMin().seq);
         continue;
       }
       if (next.when > horizon) {
-        now_ = horizon;
+        if (horizon > now_) now_ = horizon;
         return;
       }
       PopAndRun();
@@ -112,7 +116,7 @@ class RefSim {
       const auto& next = calendar_.PeekMin();
       if (!cancelled_.empty() && cancelled_.contains(next.seq)) {
         cancelled_.erase(next.seq);
-        (void)calendar_.PopMin();
+        popped_.insert(calendar_.PopMin().seq);
         continue;
       }
       PopAndRun();
@@ -155,6 +159,7 @@ class RefSim {
 
   void PopAndRun() {
     auto event = calendar_.PopMin();
+    popped_.insert(event.seq);
     if (!cancelled_.empty() && cancelled_.erase(event.seq) > 0) return;
     now_ = event.when;
     if (trace_hook_) trace_hook_(event.when, event.seq);
@@ -166,6 +171,7 @@ class RefSim {
   std::uint64_t next_seq_ = 1;
   BasicReferenceCalendar<Callback> calendar_;
   std::unordered_set<std::uint64_t> cancelled_;
+  std::unordered_set<std::uint64_t> popped_;  ///< every seq popped so far
   std::vector<std::shared_ptr<PeriodicState>> periodics_;
   Stats stats_;
   std::function<void(double, std::uint64_t)> trace_hook_;

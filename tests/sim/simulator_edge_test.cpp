@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "scan/sim/simulator.hpp"
@@ -91,6 +92,70 @@ TEST(SimulatorEdgeTest, StatsSurviveCancellationMix) {
   EXPECT_EQ(sim.stats().events_scheduled, 100u);
   EXPECT_EQ(sim.stats().events_cancelled, 50u);
   EXPECT_EQ(sim.stats().events_executed, 50u);
+}
+
+TEST(SimulatorEdgeTest, CancelAfterFireIsRefusedAndLeavesNoStaleState) {
+  // Regression: cancelling a fired event used to return true, count a
+  // cancellation and leave its seq in the lazy-deletion set, so Empty()
+  // reported true while the t=2 event was still pending.
+  Simulator sim;
+  int fired = 0;
+  const EventId first =
+      sim.ScheduleAt(SimTime{1.0}, [&](Simulator&) { ++fired; });
+  sim.ScheduleAt(SimTime{2.0}, [&](Simulator&) { ++fired; });
+  sim.RunUntil(SimTime{1.5});
+  ASSERT_EQ(fired, 1);
+  EXPECT_FALSE(sim.Cancel(first));
+  EXPECT_EQ(sim.stats().events_cancelled, 0u);
+  EXPECT_FALSE(sim.Empty());
+  EXPECT_EQ(sim.NextEventTime(), SimTime{2.0});
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(sim.Empty());
+}
+
+TEST(SimulatorEdgeTest, CancelAfterLazyDropAndOfSameTimeSiblingsIsExact) {
+  // A cancelled event that was already dropped from the calendar, and a
+  // fired event at the same time as a pending one, both refuse a cancel;
+  // the pending same-time sibling still cancels.
+  Simulator sim;
+  int fired = 0;
+  const EventId dropped = sim.ScheduleAt(SimTime{1.0}, [&](Simulator&) {});
+  const EventId ran =
+      sim.ScheduleAt(SimTime{2.0}, [&](Simulator&) { ++fired; });
+  const EventId sibling =
+      sim.ScheduleAt(SimTime{2.0}, [&](Simulator&) { ++fired; });
+  ASSERT_TRUE(sim.Cancel(dropped));
+  ASSERT_TRUE(sim.Step());  // drops t=1, runs the first t=2 event
+  ASSERT_EQ(fired, 1);
+  EXPECT_FALSE(sim.Cancel(dropped));
+  EXPECT_FALSE(sim.Cancel(ran));
+  EXPECT_TRUE(sim.Cancel(sibling));
+  EXPECT_EQ(sim.stats().events_cancelled, 2u);
+  EXPECT_TRUE(sim.Empty());
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorEdgeTest, RunUntilAnEarlierHorizonKeepsTheClock) {
+  // A rewound clock would accept events "in the past" and make an event
+  // behind the last popped one look already fired to Cancel.
+  Simulator sim;
+  sim.ScheduleAt(SimTime{5.0}, [](Simulator&) {});
+  sim.ScheduleAt(SimTime{7.0}, [](Simulator&) {});
+  sim.RunUntil(SimTime{6.0});
+  sim.RunUntil(SimTime{3.0});
+  EXPECT_EQ(sim.Now(), SimTime{6.0});
+  EXPECT_THROW(sim.ScheduleAt(SimTime{4.0}, [](Simulator&) {}),
+               std::invalid_argument);
+}
+
+TEST(SimulatorEdgeTest, PeriodicHandleCancelsOnce) {
+  Simulator sim;
+  const EventId handle = sim.SchedulePeriodic(SimTime{1.0}, [](Simulator&) {});
+  EXPECT_TRUE(sim.Cancel(handle));
+  EXPECT_FALSE(sim.Cancel(handle));
+  EXPECT_EQ(sim.stats().events_cancelled, 1u);
 }
 
 }  // namespace
