@@ -37,10 +37,12 @@ class ObsSession {
 
   /// Disables every enabled subsystem, then exports each to its path: the
   /// audit JSONL on a second thread while the calling thread writes the
-  /// trace and then the metrics; returns after both are done. Each file
-  /// has exactly one writer. Idempotent; each failed export is reported
-  /// on stderr for its own path (observability must never fail the
-  /// exhibit).
+  /// trace and then the metrics; returns after both are done. The audit is
+  /// written on the calling thread instead when there is no trace or
+  /// metrics file to overlap with, or when no thread can be started. Each
+  /// file has exactly one writer. Idempotent; each failed export is
+  /// reported on stderr for its own path (observability must never fail
+  /// the exhibit).
   void Finish();
 
   /// True when any subsystem was enabled by this session.

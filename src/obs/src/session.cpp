@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <system_error>
 #include <thread>
 
 #include "scan/common/log.hpp"
@@ -51,18 +52,25 @@ void ObsSession::Finish() {
   if (audit_on_) DecisionAudit::Global().Disable();
 
   // The audit log goes out on its own thread while this one writes the
-  // trace and the metrics; each file has exactly one writer.
+  // trace and the metrics; each file has exactly one writer. With nothing
+  // to overlap, or when no thread can be started, it is written here after
+  // them instead.
   bool audit_ok = true;
   std::exception_ptr audit_error;
+  const auto export_audit = [&] {
+    try {
+      audit_ok = DecisionAudit::Global().ExportJsonl(options_.audit_path);
+    } catch (...) {
+      audit_error = std::current_exception();
+    }
+  };
   std::jthread audit_export;
-  if (audit_on_) {
-    audit_export = std::jthread([&] {
-      try {
-        audit_ok = DecisionAudit::Global().ExportJsonl(options_.audit_path);
-      } catch (...) {
-        audit_error = std::current_exception();
-      }
-    });
+  if (audit_on_ && (trace_on_ || metrics_on_)) {
+    try {
+      audit_export = std::jthread(export_audit);
+    } catch (const std::system_error&) {
+      // Out of threads: fall through to the inline export below.
+    }
   }
   if (trace_on_) {
     const TraceRecorder& recorder = TraceRecorder::Global();
@@ -86,8 +94,12 @@ void ObsSession::Finish() {
                    options_.metrics_path.c_str());
     }
   }
-  if (audit_export.joinable()) {
-    audit_export.join();
+  if (audit_on_) {
+    if (audit_export.joinable()) {
+      audit_export.join();
+    } else {
+      export_audit();
+    }
     if (audit_error) std::rethrow_exception(audit_error);
     if (!audit_ok) {
       std::fprintf(stderr, "obs: failed to write audit log to %s\n",

@@ -162,22 +162,35 @@ class Simulator {
   /// the next wrapper afresh (no closure-captures-itself cycle).
   static Callback MakePeriodicFire(std::shared_ptr<PeriodicState> state);
 
+  /// Calendar key (when, seq); compares in pop order.
+  using Key = std::pair<double, std::uint64_t>;
+
+  /// Pops and fires the calendar minimum, which must not be cancelled.
   void PopAndRun();
-  /// Pops the calendar minimum and records its key as the last popped.
-  LadderCalendar::Entry PopMin();
-  /// True if the event has left the calendar (fired or dropped). Keys pop
-  /// in ascending (when, seq) order and nothing is scheduled before Now(),
-  /// so every key up to the last popped one has left.
-  [[nodiscard]] bool Popped(EventId id) const {
-    return id.when_ < popped_when_ ||
-           (id.when_ == popped_when_ && id.seq_ <= popped_seq_);
+  /// Pops the calendar minimum, a cancelled event, and forgets it.
+  void DropCancelledHead();
+  /// True if the event has fired or was dropped after a cancel. Events
+  /// fire at the clock, which never moves back, and every event is
+  /// scheduled at or after the clock with a fresh seq, so every key up to
+  /// the last fired one has left the calendar. A key above it is pending
+  /// unless it was dropped since.
+  [[nodiscard]] bool Gone(EventId id) const {
+    if (Key{id.when_, id.seq_} <= fired_) return true;
+    for (const Key& key : dropped_) {
+      if (key.second == id.seq_) return true;
+    }
+    return false;
   }
 
   SimTime now_{0.0};
   std::uint64_t next_seq_ = 1;
-  /// Key (when, seq) of the last event popped from the calendar.
-  double popped_when_ = -std::numeric_limits<double>::infinity();
-  std::uint64_t popped_seq_ = 0;
+  /// Key of the last event that fired.
+  Key fired_{-std::numeric_limits<double>::infinity(), 0};
+  /// Keys of cancelled events dropped from the calendar above the last
+  /// fired key. A drop does not move the clock (RunUntil drops cancelled
+  /// events past its horizon), so later events may still be scheduled
+  /// before them; each is kept until a firing passes its key.
+  std::vector<Key> dropped_;
   // Mutable: const peeks (NextEventTime) may advance the ladder window,
   // which reorders storage but never observable state.
   mutable LadderCalendar calendar_;

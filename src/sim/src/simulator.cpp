@@ -19,18 +19,18 @@ bool Simulator::Cancel(EventId id) {
       return true;
     }
   }
-  // A fired event must not enter cancelled_: the stale seq would never be
-  // popped again and would make Empty() discount a live event.
-  if (Popped(id) || !cancelled_.insert(id.seq_).second) return false;
+  // A fired or dropped event must not enter cancelled_: the stale seq would
+  // never be popped again and would make Empty() discount a live event.
+  if (Gone(id) || !cancelled_.insert(id.seq_).second) return false;
   ++stats_.events_cancelled;
   return true;
 }
 
-LadderCalendar::Entry Simulator::PopMin() {
-  const LadderCalendar::Entry entry = calendar_.PopMin();
-  popped_when_ = entry.when;
-  popped_seq_ = entry.seq;
-  return entry;
+void Simulator::DropCancelledHead() {
+  const LadderCalendar::Entry dead = calendar_.PopMin();
+  cancelled_.erase(dead.seq);
+  dropped_.emplace_back(dead.when, dead.seq);
+  calendar_.ReleaseNode(dead.node);
 }
 
 Simulator::Callback Simulator::MakePeriodicFire(
@@ -58,13 +58,13 @@ EventId Simulator::SchedulePeriodic(SimTime period, Callback cb) {
 }
 
 void Simulator::PopAndRun() {
-  const LadderCalendar::Entry entry = PopMin();
-  if (!cancelled_.empty() && cancelled_.erase(entry.seq) > 0) {
-    calendar_.ReleaseNode(entry.node);
-    return;  // lazily-deleted event
-  }
+  const LadderCalendar::Entry entry = calendar_.PopMin();
   assert(entry.when >= now_.value());
   now_ = SimTime{entry.when};
+  fired_ = Key{entry.when, entry.seq};
+  if (!dropped_.empty()) {
+    std::erase_if(dropped_, [&](const Key& key) { return key < fired_; });
+  }
   SetLogSimTime(entry.when);
   if (trace_hook_) trace_hook_(SimTime{entry.when}, entry.seq);
   ++stats_.events_executed;
@@ -83,9 +83,7 @@ void Simulator::RunUntil(SimTime horizon) {
   while (!calendar_.empty()) {
     const LadderCalendar::Entry& next = calendar_.PeekMin();
     if (!cancelled_.empty() && cancelled_.contains(next.seq)) {
-      cancelled_.erase(next.seq);
-      const LadderCalendar::Entry dead = PopMin();
-      calendar_.ReleaseNode(dead.node);
+      DropCancelledHead();
       continue;
     }
     if (SimTime{next.when} > horizon) {
@@ -103,9 +101,7 @@ bool Simulator::Step() {
   while (!calendar_.empty()) {
     const LadderCalendar::Entry& next = calendar_.PeekMin();
     if (!cancelled_.empty() && cancelled_.contains(next.seq)) {
-      cancelled_.erase(next.seq);
-      const LadderCalendar::Entry dead = PopMin();
-      calendar_.ReleaseNode(dead.node);
+      DropCancelledHead();
       continue;
     }
     PopAndRun();

@@ -337,5 +337,40 @@ TEST_F(ExportFailureTest, SessionWritesTraceAndMetricsBesideFailedAudit) {
   std::remove(metrics_path.c_str());
 }
 
+/// With no trace or metrics file to overlap, the session writes the audit
+/// on the calling thread; the file and the failure report are unchanged.
+TEST_F(ExportFailureTest, SessionWritesAuditAloneInline) {
+  const std::string audit_path = ::testing::TempDir() + "/session_audit.jsonl";
+  ObsOptions options;
+  options.audit_path = audit_path;
+  ObsSession session(options);
+  for (int i = 0; i < 100; ++i) {
+    HireDecisionRecord hire;
+    hire.time_tu = i / 3.0;
+    hire.scaling = "predictive";
+    DecisionAudit::Global().RecordHire(hire);
+  }
+  ::testing::internal::CaptureStderr();
+  session.Finish();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  const std::string expected_path =
+      ::testing::TempDir() + "/session_audit_expected.jsonl";
+  ASSERT_TRUE(DecisionAudit::Global().ExportJsonl(expected_path));
+  const std::string audit = ReadFile(audit_path);
+  EXPECT_FALSE(audit.empty());
+  EXPECT_EQ(audit, ReadFile(expected_path));
+  std::remove(audit_path.c_str());
+  std::remove(expected_path.c_str());
+
+  ObsOptions failing;
+  failing.audit_path = kFullDevice;
+  ObsSession failing_session(failing);
+  DecisionAudit::Global().RecordHire(HireDecisionRecord{});
+  ::testing::internal::CaptureStderr();
+  failing_session.Finish();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "obs: failed to write audit log to /dev/full\n");
+}
+
 }  // namespace
 }  // namespace scan::obs

@@ -290,8 +290,11 @@ void RunScript(std::uint64_t seed, int ops, std::uint64_t* executed) {
       }
     } else if (roll < 0.52) {
       if (!real.ids.empty()) {
+        // Half the cancels hit the newest handle, the one most likely to
+        // be still pending.
+        const auto n = static_cast<std::uint32_t>(real.ids.size());
         const std::size_t i =
-            rng.UniformBelow(static_cast<std::uint32_t>(real.ids.size()));
+            rng.Uniform() < 0.5 ? n - 1 : rng.UniformBelow(n);
         ASSERT_EQ(real.Cancel(i), ref.Cancel(i)) << "cancel index " << i;
       }
     } else if (roll < 0.56) {
@@ -374,6 +377,35 @@ TEST(CalendarDifferentialTest, CancellationHeavyScript) {
   ref.RunUntil(ref.Now() + 1000.0);
   ASSERT_EQ(real.pops, ref.pops);
   ASSERT_EQ(real.sim.stats().events_cancelled, ref.sim.stats().cancelled);
+}
+
+TEST(CalendarDifferentialTest, EventBeforeADropPastTheHorizon) {
+  // RunUntil drops the cancelled t=10 head past its horizon while the
+  // clock stays at 0; the t=7 event scheduled next is pending and cancels.
+  RealDriver real;
+  RefDriver ref;
+  real.Schedule(10.0);
+  ref.Schedule(10.0);
+  ASSERT_TRUE(real.Cancel(0));
+  ASSERT_TRUE(ref.Cancel(0));
+  real.RunUntil(5.0);
+  ref.RunUntil(5.0);
+  ASSERT_EQ(real.Now(), ref.Now());
+  real.Schedule(7.0);
+  ref.Schedule(7.0);
+  EXPECT_TRUE(ref.Cancel(1));
+  EXPECT_TRUE(real.Cancel(1));
+  EXPECT_EQ(real.Cancel(0), ref.Cancel(0));
+  EXPECT_EQ(real.Empty(), ref.Empty());
+  EXPECT_EQ(real.Next(), ref.Next());
+  real.Schedule(8.0);
+  ref.Schedule(8.0);
+  real.RunUntil(100.0);
+  ref.RunUntil(100.0);
+  EXPECT_FALSE(real.pops.empty());
+  EXPECT_EQ(real.pops, ref.pops);
+  EXPECT_EQ(real.Cancel(0), ref.Cancel(0));
+  EXPECT_EQ(real.sim.stats().events_cancelled, ref.sim.stats().cancelled);
 }
 
 // ---------------------------------------------------------------------------

@@ -137,6 +137,36 @@ TEST(SimulatorEdgeTest, CancelAfterLazyDropAndOfSameTimeSiblingsIsExact) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(SimulatorEdgeTest, EventScheduledBeforeADropPastTheHorizonCancels) {
+  // Regression: RunUntil drops a cancelled head event even past its
+  // horizon without moving the clock there, so an event scheduled later
+  // can precede the dropped one. It is still pending and must cancel.
+  Simulator sim;
+  int fired = 0;
+  const EventId late =
+      sim.ScheduleAt(SimTime{10.0}, [&](Simulator&) { ++fired; });
+  ASSERT_TRUE(sim.Cancel(late));
+  sim.RunUntil(SimTime{5.0});  // drops the t=10 event
+  EXPECT_EQ(sim.Now(), SimTime{0.0});
+  const EventId early =
+      sim.ScheduleAt(SimTime{7.0}, [&](Simulator&) { ++fired; });
+  EXPECT_TRUE(sim.Cancel(early));
+  EXPECT_FALSE(sim.Cancel(late));
+  EXPECT_EQ(sim.stats().events_cancelled, 2u);
+  EXPECT_TRUE(sim.Empty());
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, 0);
+
+  // The dropped key stays refused after an earlier event fires.
+  const EventId third =
+      sim.ScheduleAt(SimTime{8.0}, [&](Simulator&) { ++fired; });
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.Cancel(late));
+  EXPECT_FALSE(sim.Cancel(third));
+  EXPECT_EQ(sim.stats().events_cancelled, 2u);
+}
+
 TEST(SimulatorEdgeTest, RunUntilAnEarlierHorizonKeepsTheClock) {
   // A rewound clock would accept events "in the past" and make an event
   // behind the last popped one look already fired to Cancel.
